@@ -8,16 +8,16 @@ statements exhaustively at desk scale.
 
 __version__ = "0.1.0"
 
-from .field import (Field, FieldElement, SoundnessError, make_field,
-                    subfield_elements, subfield_orders, subfields)
-from .geometry import (AffinePointSet, DirectionSet, apply_collineation,
+from .field import (Field, SoundnessError, make_field, subfield_elements,
+                    subfield_orders, subfields)
+from .geometry import (AffinePointSet, DirectionSet, LineTable, apply_collineation,
                        canonicalize_infinity, check_line_congruence,
                        direction_modulus, direction_of, directions_of,
                        geometric_invariants, is_maximal, line_profile,
                        push_infinity_out)
-from .redei import (BivariatePoly, RedeiSystem, algebraic_invariants,
-                    redei_polynomial, redei_system, root_count,
-                    specialized_tail, tail_power)
+from .redei import (BivariatePoly, RedeiSystem, SlopeTable,
+                    algebraic_invariants, redei_polynomial, redei_system,
+                    root_count, specialized_tail, tail_power)
 from .linsets import (AffineLinearSpec, ProjectiveLinearSpec,
                       WeightedProjectiveSet, build_affine_linear,
                       closure_witness, is_subfield_linear, plane_set,

@@ -48,9 +48,11 @@ from .field import (Field, SoundnessError, make_field, prime_power_parts,
 from .geometry import (AffinePointSet, canonicalize_infinity, check_line_congruence,
                        direction_of, directions_of, geometric_invariants,
                        is_maximal, push_infinity_out)
-from .redei import (algebraic_invariants, check_power_span,
-                    check_specialized_membership, redei_system,
-                    specialized_tail, tail_power)
+from .redei import (SlopeTable, algebraic_invariants, check_power_span,
+                    check_specialized_membership)
+# the tails reach this module through SlopeTable; the name stays bound here
+# because bench/spans.py wraps every module binding of a traced function
+from .redei import specialized_tail  # noqa: F401
 from .linsets import is_subfield_linear
 from . import polys
 from .polys import in_power_basis, p_degree, p_div, p_divmod, p_monomial, p_mul
@@ -123,54 +125,47 @@ def _inapplicable(stmt: str, why: str) -> Verdict:
 
 
 class SetContext:
-    """Shared lazy pipeline state for evaluating many statements on one set."""
+    """Shared lazy pipeline state for evaluating many statements on one set.
+
+    One SlopeTable per image the statements use: the set itself (`table`),
+    its image determining the vertical direction (`canonical`) and its
+    image not determining it (`no_infinity`).  An image equal to the set
+    shares the set's table.
+    """
 
     def __init__(self, U: AffinePointSet):
         self.U = U
         self.field = U.field
+        self.table = SlopeTable(U)
 
-    @functools.cached_property
+    @property
     def dirs(self):
-        return directions_of(self.U)
+        return self.table.dirs
 
-    @functools.cached_property
+    @property
     def geo(self):
-        return geometric_invariants(self.U, self.dirs) if self.dirs.determined else None
+        return self.table.geo
+
+    def _image_table(self, W: AffinePointSet) -> SlopeTable:
+        return self.table if W is self.U else SlopeTable(W)
 
     @functools.cached_property
     def canonical(self):
-        return canonicalize_infinity(self.U) if self.dirs.determined else None
-
-    @functools.cached_property
-    def canon_dirs(self):
-        return directions_of(self.canonical)
-
-    @functools.cached_property
-    def canon_geo(self):
-        return geometric_invariants(self.canonical, self.canon_dirs)
-
-    @functools.cached_property
-    def canon_sys(self):
-        return redei_system(self.canonical, verify=False)
+        if not self.dirs.determined:
+            return None
+        return self._image_table(canonicalize_infinity(self.table))
 
     @functools.cached_property
     def canon_alg(self):
-        return algebraic_invariants(self.canonical, self.canon_sys,
-                                    self.canon_dirs, self.canon_geo)
-
-    @functools.cached_property
-    def canon_alg_counted(self):
-        return algebraic_invariants(self.canonical, self.canon_sys,
-                                    self.canon_dirs, self.canon_geo,
-                                    with_root_counts=True)
+        return algebraic_invariants(self.canonical)
 
     @functools.cached_property
     def no_infinity(self):
-        return push_infinity_out(self.U)
+        return self._image_table(push_infinity_out(self.table))
 
     @functools.cached_property
     def maximal(self):
-        return is_maximal(self.U)
+        return is_maximal(self.table)
 
 
 def _as_context(U) -> SetContext:
@@ -194,7 +189,7 @@ def classify_direction_trichotomy(U) -> Verdict:
     n = len(ctx.U)
     if n > q:
         raise SoundnessError("more than q points but not all directions determined")
-    s = ctx.canon_geo.modulus
+    s = ctx.canonical.geo.modulus
     t = ctx.canon_alg.modulus
     D = len(ctx.dirs)
     notes = []
@@ -206,7 +201,8 @@ def classify_direction_trichotomy(U) -> Verdict:
         checks.append(_cmp("single determined direction", D, "==", 1))
         checks.append(Check("vertical direction is the one determined",
                             "inf", "==", "inf",
-                            ctx.canon_dirs.has_infinity and len(ctx.canon_dirs) == 1))
+                            ctx.canonical.dirs.has_infinity
+                            and len(ctx.canonical.dirs) == 1))
     else:
         lower = Fraction(n - 1, t + 1) + 2
         checks.append(_cmp("lower bound", lower, "<=", Fraction(D)))
@@ -224,9 +220,8 @@ def _counting_cross_check(ctx: SetContext, s: int):
     """Through any set point, each line with determined slope carries at
     least s set points, and those lines partition the rest of the set."""
     F = ctx.field
-    W = ctx.canonical
-    det = directions_of(W).determined
-    pts = sorted(W.points)
+    det = ctx.canonical.dirs.determined
+    pts = sorted(ctx.canonical.U.points)
     n = len(pts)
     min_count = None
     budget_ok = True
@@ -273,8 +268,7 @@ def classify_size_q_trichotomy(U) -> Verdict:
     if ctx.dirs.is_all:
         return _inapplicable(stmt, "every direction is determined")
     W = ctx.no_infinity
-    geo = geometric_invariants(W)
-    s = geo.modulus
+    s = W.geo.modulus
     D = len(ctx.dirs)
     checks = []
     notes = []
@@ -293,7 +287,7 @@ def classify_size_q_trichotomy(U) -> Verdict:
         checks.append(_cmp("upper bound", D, "<=", Fraction(q - 1, s - 1)))
     if s > 2:
         if s in subfield_orders(ctx.field):
-            linear, witness = is_subfield_linear(ctx.field, W.points, s)
+            linear, witness = is_subfield_linear(ctx.field, W.U.points, s)
             checks.append(Check("subfield linear", "set", "is",
                                 f"GF({s})-linear", linear))
             if linear:
@@ -324,8 +318,7 @@ def classify_prime_dichotomy(U) -> Verdict:
     notes = []
     if D == 1:
         case = 2
-        W = ctx.no_infinity
-        pts = sorted(W.points)
+        pts = sorted(ctx.no_infinity.U.points)
         base_dir = direction_of(F, pts[0], pts[1])
         collinear = all(direction_of(F, pts[0], u) == base_dir for u in pts[2:])
         checks = (Check("points are collinear", "set", "is", "collinear", collinear),
@@ -345,7 +338,7 @@ def classify_prime_dichotomy(U) -> Verdict:
 def line_congruence_verdict(U, modulus: int | None = None) -> Verdict:
     ctx = _as_context(U)
     stmt = "line-congruence"
-    rep = check_line_congruence(ctx.U, modulus)
+    rep = check_line_congruence(ctx.table, modulus)
     if not rep.applicable:
         why = ("geometric modulus is 1; congruence vacuous" if rep.modulus == 1
                else "no determined direction")
@@ -381,7 +374,7 @@ def tail_degree_bound(U) -> Verdict:
     why = _tail_lemmas_applicable(ctx)
     if why:
         return _inapplicable(stmt, why)
-    deg = ctx.canon_sys.deg_x_tail()
+    deg = ctx.canonical.deg_x_tail
     checks = (_cmp("direction count exceeds tail degree",
                    len(ctx.dirs), ">=", deg + 1),)
     return Verdict(stmt, True, None, checks)
@@ -396,11 +389,11 @@ def root_power_bound(U) -> Verdict:
     why = _tail_lemmas_applicable(ctx)
     if why:
         return _inapplicable(stmt, why)
-    alg = ctx.canon_alg_counted
-    deg_total = alg.tail_degree
+    W = ctx.canonical
+    deg_total = W.deg_x_tail
     checks = []
-    for y, data in sorted(alg.per_direction.items()):
-        tau, kappa = data.modulus, data.root_count
+    for y, data in sorted(ctx.canon_alg.per_direction.items()):
+        tau, kappa = data.modulus, W.kappa(y)
         deg_f = p_degree(data.root) if data.root is not None else None
         if deg_f is None:
             raise SoundnessError("constant tail on a slope of a multi-direction set")
@@ -425,15 +418,8 @@ def moduli_order(U) -> Verdict:
         return _inapplicable(stmt, "no determined direction")
     if len(ctx.U) > ctx.field.q:
         return _inapplicable(stmt, "tail system needs at most q points")
-    F = ctx.field
-    t = F.q
-    for y in ctx.dirs.affine():
-        try:
-            tau, _ = tail_power(specialized_tail(ctx.U, y), field=F)
-        except ValueError as exc:
-            raise SoundnessError("determined slope produced an undetermined tail") from exc
-        t = min(t, tau)
     s = ctx.geo.modulus
+    t = ctx.table.algebraic_modulus
     return Verdict(stmt, True, None, (_cmp("modulus order", s, "<=", t),))
 
 
@@ -445,7 +431,7 @@ def membership_verdict(U) -> Verdict:
     n = len(ctx.U)
     if not 1 <= n <= ctx.field.q:
         return _inapplicable(stmt, "needs 1 <= |U| <= q")
-    rep = check_specialized_membership(ctx.U)
+    rep = check_specialized_membership(ctx.table)
     checks = tuple(Check(f"slope {y} ({'determined' if det else 'free'}): {note}",
                          "membership", "==", "expected", ok)
                    for y, det, ok, note in rep.entries)
@@ -460,9 +446,8 @@ def power_span_verdict(U) -> Verdict:
         return _inapplicable(stmt, "no determined direction")
     if n > ctx.field.q:
         return _inapplicable(stmt, "tail system needs at most q points")
-    sys = redei_system(ctx.U, verify=False)
-    alg = algebraic_invariants(ctx.U, sys, ctx.dirs, ctx.geo)
-    ok, bad = check_power_span(sys, alg.modulus)
+    alg = algebraic_invariants(ctx.table)
+    ok, bad = check_power_span(ctx.table, alg.modulus)
     notes = (f"offending exponents: {list(bad)}",) if bad else ()
     if alg.infinity_determined:
         notes += ("algebraic modulus taken over non-vertical determined slopes",)
@@ -492,11 +477,10 @@ def conjecture_moduli_match(U) -> Verdict:
     gate = _conjecture_gate(ctx, stmt)
     if gate:
         return gate
-    F = ctx.field
     checks = []
     notes = []
     for y in ctx.dirs.affine():
-        tau, _ = tail_power(specialized_tail(ctx.U, y), field=F)
+        tau = ctx.table.power(y).modulus
         if tau > 2:
             checks.append(_cmp(f"slope {y}: moduli agree",
                                tau, "==", ctx.geo.per_direction[y]))
@@ -517,10 +501,7 @@ def conjecture_maximal_linearity(U) -> Verdict:
         return gate
     F = ctx.field
     s = ctx.geo.modulus
-    t = F.q
-    for y in ctx.dirs.affine():
-        tau, _ = tail_power(specialized_tail(ctx.U, y), field=F)
-        t = min(t, tau)
+    t = ctx.table.algebraic_modulus
     if not (s == t and s > 2):
         return _inapplicable(stmt, f"hypothesis unmet: moduli {s} and {t}")
     notes = []
@@ -703,7 +684,7 @@ def nonlinear_maximal_example(q: int) -> dict:
             continue
         if not 2 * len(dirs) >= q + 3:
             continue
-        if geometric_invariants(U, dirs).modulus == 1:
+        if geometric_invariants(U).modulus == 1:
             base = U
             break
     if base is None:

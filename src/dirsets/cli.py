@@ -20,9 +20,8 @@ from fractions import Fraction
 
 from . import __version__
 from .field import SoundnessError, make_field
-from .geometry import (AffinePointSet, directions_of, format_direction,
-                       geometric_invariants)
-from .redei import algebraic_invariants, redei_system
+from .geometry import AffinePointSet, directions_of, format_direction
+from .redei import SlopeTable, algebraic_invariants, redei_system
 from .linsets import (ProjectiveLinearSpec, direction_code_of_projective,
                       plane_set, project_subgeometry, realize_direction_set)
 from .analysis import STATEMENTS, section5_reports, verify_statement
@@ -86,19 +85,19 @@ def _cmd_directions(args, out):
 def _cmd_invariants(args, out):
     U = _load_set(args.set)
     F = U.field
-    dirs = directions_of(U)
+    slopes = SlopeTable(U)
+    dirs = slopes.dirs
     config = {"set": args.set, "format": args.format}
     result = {"points": len(U), "direction_count": len(dirs),
               "directions": list(dirs.tokens())}
     table = []
     if dirs.determined:
-        geo = geometric_invariants(U, dirs)
+        geo = slopes.geo
         result["s"] = geo.modulus
         if len(U) <= F.q:
-            sys_ = redei_system(U, verify=False)
-            alg = algebraic_invariants(U, sys_, dirs, geo, with_root_counts=True)
+            alg = algebraic_invariants(slopes)
             result["t"] = alg.modulus
-            result["degXH"] = alg.tail_degree
+            result["degXH"] = slopes.deg_x_tail
             if alg.infinity_determined:
                 result["note"] = ("algebraic modulus taken over non-vertical "
                                   "determined slopes")
@@ -110,7 +109,7 @@ def _cmd_invariants(args, out):
                     row["t_y"] = data.modulus
                     row["deg_f"] = (len(data.root) - 1
                                     if data.root is not None else "")
-                    row["kappa"] = data.root_count
+                    row["kappa"] = slopes.kappa(y)
                 table.append(row)
         else:
             result["t"] = None

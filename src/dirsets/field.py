@@ -92,8 +92,7 @@ class Field:
     """GF(p^h) on integer codes.  Use :func:`make_field`, not the constructor,
     so that equal parameters share one instance."""
 
-    __slots__ = ("p", "h", "q", "modulus", "_exp", "_log", "_neg_t", "_add_rows",
-                 "_pow_cache")
+    __slots__ = ("p", "h", "q", "modulus", "_exp", "_log", "_neg_t", "_add_rows")
 
     def __init__(self, p: int, h: int):
         if not _is_prime(p):
@@ -107,7 +106,6 @@ class Field:
         self._build_neg()
         self._build_add()
         self._build_exp_log()
-        self._pow_cache = {}
 
     # -- construction ------------------------------------------------------
 
@@ -295,24 +293,6 @@ class Field:
             mult *= self.p
         return out
 
-    def element(self, code: int) -> "FieldElement":
-        if not 0 <= code < self.q:
-            raise ValueError(f"code {code} outside [0, {self.q})")
-        return FieldElement(self, code)
-
-    def elements(self):
-        """All q elements in ascending code order (0 first, 1 second)."""
-        for code in range(self.q):
-            yield FieldElement(self, code)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other):
@@ -329,102 +309,6 @@ class Field:
 
     def __reduce__(self):
         return (make_field, (self.p, self.h))
-
-
-class FieldElement:
-    """A single element; carries its field, so mixing fields is an error."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: Field, code: int):
-        self.field = field
-        self.code = code
-
-    def _other(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError(
-                    f"elements of GF({other.field}) and GF({self.field}) do not mix")
-            return other.code
-        if isinstance(other, int):
-            if not 0 <= other < self.field.q:
-                raise ValueError(f"integer code {other} outside field")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._other(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._other(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._other(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(c, self.code))
-
-    def __mul__(self, other):
-        c = self._other(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._other(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.code, c))
-
-    def __rtruediv__(self, other):
-        c = self._other(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(c, self.code))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        return FieldElement(self.field, self.field.pow(self.code, e))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    @property
-    def coeffs(self):
-        return self.field.coeffs(self.code)
-
-    def __int__(self):
-        return self.code
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.code == other.code
-        if isinstance(other, int):
-            return self.code == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.code))
-
-    def __repr__(self):
-        return f"GF({self.field}):{self.code}"
-
-    def __str__(self):
-        return str(self.code)
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ is the minimum over determined directions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import gcd
 
@@ -20,7 +21,7 @@ from .field import Field, make_field
 
 __all__ = [
     "AffinePointSet", "DirectionSet", "GeometricInvariants", "LineCongruence",
-    "direction_of", "directions_of", "line_profile", "direction_modulus",
+    "LineTable", "direction_of", "directions_of", "line_profile", "direction_modulus",
     "geometric_invariants", "check_line_congruence", "apply_collineation",
     "canonicalize_infinity", "push_infinity_out", "is_maximal",
     "format_direction", "parse_direction",
@@ -196,26 +197,62 @@ def line_profile(U: AffinePointSet, y: int):
     return counts
 
 
-def direction_modulus(U: AffinePointSet, y: int) -> int:
+class LineTable:
+    """The line profiles of one point set, each counted on first read.
+
+    The functions of this module that read profiles or directions accept a
+    table wherever they accept a point set, so a caller holding one table
+    per set counts every slope once.  The direction set and the geometric
+    invariants are kept the same way.
+    """
+
+    def __init__(self, U: AffinePointSet):
+        self.U = U
+        self.field = U.field
+        self._profiles = {}
+
+    @classmethod
+    def of(cls, U):
+        """U itself when it is already a table of this kind, else a new one."""
+        return U if isinstance(U, cls) else cls(U)
+
+    def profile(self, y: int):
+        counts = self._profiles.get(y)
+        if counts is None:
+            counts = self._profiles[y] = line_profile(self.U, y)
+        return counts
+
+    @functools.cached_property
+    def dirs(self) -> DirectionSet:
+        return directions_of(self.U)
+
+    @functools.cached_property
+    def geo(self) -> GeometricInvariants:
+        return geometric_invariants(self)
+
+
+def direction_modulus(U, y: int) -> int:
     """Largest characteristic power dividing every slope-y line count.
 
     Computed as gcd(counts + [q]); the gcd divides q, so it is a p-power.
     Equals q when every count is zero, which needs an empty set.
     """
-    if not U.points:
+    lines = LineTable.of(U)
+    if not lines.U.points:
         raise ValueError("modulus of an empty point set")
-    g = U.field.q
-    for c in line_profile(U, y):
+    g = lines.field.q
+    for c in lines.profile(y):
         if c:
             g = gcd(g, c)
     return g
 
 
-def geometric_invariants(U: AffinePointSet, dirs: DirectionSet | None = None) -> GeometricInvariants:
-    dirs = directions_of(U) if dirs is None else dirs
+def geometric_invariants(U) -> GeometricInvariants:
+    lines = LineTable.of(U)
+    dirs = lines.dirs
     if not dirs.determined:
         raise ValueError("no determined direction: aggregate modulus undefined")
-    per = {y: direction_modulus(U, y) for y in sorted(dirs.determined)}
+    per = {y: direction_modulus(lines, y) for y in sorted(dirs.determined)}
     return GeometricInvariants(per, min(per.values()))
 
 
@@ -234,7 +271,6 @@ class LineCongruence:
     failures: tuple
     size_congruent: bool | None       # |U| == 0 mod modulus
     directions_congruent: bool | None  # |D| == 1 mod modulus
-    per_line: tuple | None
 
     @property
     def passed(self):
@@ -243,8 +279,7 @@ class LineCongruence:
         return not self.failures and self.size_congruent and self.directions_congruent
 
 
-def check_line_congruence(U: AffinePointSet, modulus: int | None = None,
-                          detailed: bool = False) -> LineCongruence:
+def check_line_congruence(U, modulus: int | None = None) -> LineCongruence:
     """Check the 0/1 mod m incidence congruence over all q^2+q+1 lines.
 
     With modulus None the set-level geometric modulus is used and the check
@@ -252,43 +287,36 @@ def check_line_congruence(U: AffinePointSet, modulus: int | None = None,
     explicit modulus (e.g. the subfield order of a linear construction)
     forces the check regardless.
     """
-    F = U.field
-    dirs = directions_of(U)
+    lines = LineTable.of(U)
+    F = lines.field
+    dirs = lines.dirs
     if modulus is None:
         if not dirs.determined:
-            return LineCongruence(False, None, 0, (), None, None, None)
-        m = geometric_invariants(U, dirs).modulus
+            return LineCongruence(False, None, 0, (), None, None)
+        m = lines.geo.modulus
         if m == 1:
-            return LineCongruence(False, 1, 0, (), None, None, None)
+            return LineCongruence(False, 1, 0, (), None, None)
     else:
         m = modulus
         if m <= 1:
             raise ValueError("explicit modulus must exceed 1")
     failures = []
-    per_line = [] if detailed else None
     checked = 0
     for slope in range(F.q + 1):
-        profile = line_profile(U, slope)
+        profile = lines.profile(slope)
         ideal_pt = 1 if slope in dirs.determined else 0
         for intercept in range(F.q):
             total = profile[intercept] + ideal_pt
-            ok = total % m in (0, 1)
             checked += 1
-            if not ok:
+            if total % m not in (0, 1):
                 failures.append((slope, intercept, total))
-            if per_line is not None:
-                per_line.append((slope, intercept, total, ok))
     ideal_total = len(dirs.determined)
-    ok = ideal_total % m in (0, 1)
     checked += 1
-    if not ok:
+    if ideal_total % m not in (0, 1):
         failures.append((F.q + 1, None, ideal_total))
-    if per_line is not None:
-        per_line.append((F.q + 1, None, ideal_total, ok))
     return LineCongruence(
         True, m, checked, tuple(failures),
-        len(U) % m == 0, len(dirs.determined) % m == 1,
-        tuple(per_line) if per_line is not None else None)
+        len(lines.U) % m == 0, len(dirs.determined) % m == 1)
 
 
 def apply_collineation(U: AffinePointSet, matrix, shift=(0, 0)):
@@ -320,47 +348,50 @@ def _swap_with_infinity_matrix(F: Field, y0: int):
     return ((F.neg(y0), 1), (1, 0))
 
 
-def canonicalize_infinity(U: AffinePointSet) -> AffinePointSet:
+def canonicalize_infinity(U) -> AffinePointSet:
     """A deterministic collineation image whose direction set contains the
     vertical direction: the determined direction of least code is swapped in.
-    Returns U unchanged when the vertical direction is already determined."""
-    F = U.field
-    dirs = directions_of(U)
+    Returns the point set unchanged when the vertical direction is already
+    determined."""
+    lines = LineTable.of(U)
+    dirs = lines.dirs
     if not dirs.determined:
         raise ValueError("no determined direction to canonicalize")
     if dirs.has_infinity:
-        return U
+        return lines.U
     y0 = min(dirs.determined)
-    image, _ = apply_collineation(U, _swap_with_infinity_matrix(F, y0))
+    image, _ = apply_collineation(lines.U, _swap_with_infinity_matrix(lines.field, y0))
     return image
 
 
-def push_infinity_out(U: AffinePointSet) -> AffinePointSet:
+def push_infinity_out(U) -> AffinePointSet:
     """A deterministic collineation image that does not determine the
     vertical direction: the undetermined direction of least code is swapped
     to vertical.  Fails when every direction is determined."""
-    F = U.field
-    dirs = directions_of(U)
+    lines = LineTable.of(U)
+    dirs = lines.dirs
     if not dirs.has_infinity:
-        return U
+        return lines.U
     if dirs.is_all:
         raise ValueError("every direction is determined; cannot free the vertical one")
     z = min(dirs.undetermined())
-    image, _ = apply_collineation(U, _swap_with_infinity_matrix(F, z))
+    image, _ = apply_collineation(lines.U, _swap_with_infinity_matrix(lines.field, z))
     return image
 
 
-def is_maximal(U: AffinePointSet) -> bool:
+def is_maximal(U) -> bool:
     """True iff every added point strictly grows the direction set.
 
     Only directions from the new point to U can be new, so each candidate
     point needs one pass over U.  A set determining all q + 1 directions is
     treated as maximal (no extension can change its directions).
     """
+    lines = LineTable.of(U)
+    U = lines.U
     if len(U) < 2:
         raise ValueError("maximality needs at least two points")
     F = U.field
-    dirs = directions_of(U)
+    dirs = lines.dirs
     if dirs.is_all:
         return True
     det = dirs.determined

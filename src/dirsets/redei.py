@@ -14,24 +14,29 @@ undetermined slope T(X,y) = -X.  The set-level algebraic modulus is the
 minimum over the determined non-vertical slopes (the convention when
 nothing qualifies is the field order, which happens exactly for
 single-direction sets).
+
+Sweeps never build the bivariate system: SlopeTable computes, one slope
+at a time, the specializations R(X,y), Q(X,y) and T(X,y) that the
+statements read.  RedeiSystem serves the `redei` verb and is the
+reference the tests compare the table against.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .field import Field, SoundnessError
-from .geometry import AffinePointSet, DirectionSet, GeometricInvariants, \
-    direction_modulus, directions_of, geometric_invariants
+from .geometry import AffinePointSet, LineTable, direction_modulus
 from . import polys
 from .polys import (p_add, p_degree, p_eval, p_frob_root, p_mul, p_neg,
                     p_sub, p_trim, in_power_basis, x_power_minus_x)
 
 __all__ = [
-    "BivariatePoly", "RedeiSystem", "TailData", "AlgebraicInvariants",
-    "redei_polynomial", "redei_system", "specialized_tail", "tail_power",
-    "root_count", "algebraic_invariants", "check_specialization",
-    "SpecializationCheck", "check_specialized_membership", "MembershipCheck",
+    "BivariatePoly", "RedeiSystem", "SlopeTable", "TailData",
+    "AlgebraicInvariants", "redei_polynomial", "redei_system",
+    "specialized_redei", "specialized_tail", "tail_power", "root_count",
+    "algebraic_invariants", "check_specialized_membership", "MembershipCheck",
     "check_power_span",
 ]
 
@@ -270,6 +275,20 @@ def _verify_system(sys: RedeiSystem) -> None:
             raise SoundnessError("quotient coefficients break the recurrence")
 
 
+def specialized_redei(U: AffinePointSet, y: int) -> tuple:
+    """R(X, y): the product of X - ay + b over the points (a, b) of U."""
+    add, mul, sub = U.field.add, U.field.mul, U.field.sub
+    r = [1]
+    for a, b in U.points:
+        # multiply the monic r by X + c, highest coefficient first
+        c = sub(b, mul(a, y))
+        r.append(1)
+        for i in range(len(r) - 2, 0, -1):
+            r[i] = add(r[i - 1], mul(c, r[i]))
+        r[0] = mul(c, r[0])
+    return tuple(r)
+
+
 def specialized_tail(U: AffinePointSet, y: int):
     """T(X, y) computed directly from the specialized Rédei polynomial.
 
@@ -278,33 +297,20 @@ def specialized_tail(U: AffinePointSet, y: int):
     building the full system when only one slope matters.
     """
     F = U.field
-    r_y = (1,)
-    for a, b in sorted(U.points):
-        r_y = p_mul(F, r_y, (F.sub(b, F.mul(a, y)), 1))
-    rem = polys.p_mod(F, x_power_minus_x(F), r_y)
+    rem = polys.p_mod(F, x_power_minus_x(F), specialized_redei(U, y))
     return p_neg(F, p_add(F, rem, (0, 1)))
 
 
-_UNDETERMINED = object()
-
-
-def tail_power(sys_or_tail, y: int | None = None, field: Field | None = None):
-    """(modulus, root) for the specialized tail at slope y.
+def tail_power(tail, field: Field):
+    """(modulus, root) for a specialized tail on a determined slope.
 
     The modulus is the largest characteristic power tau such that the tail
     is f(X)^tau with f outside GF(q)[X^p]; equivalently the p-part of the
     gcd of its exponents.  A constant tail yields (q, None) -- the
-    single-direction convention.  A tail equal to -X marks an undetermined
-    slope and raises ValueError.
+    single-direction convention.
     """
-    if isinstance(sys_or_tail, RedeiSystem):
-        F = sys_or_tail.field
-        t_y = sys_or_tail.tail.specialize(y)
-    else:
-        F = field
-        t_y = tuple(sys_or_tail)
-    if t_y == p_trim((0, F.neg(1))):
-        raise ValueError("tail is -X: slope is not determined, modulus undefined")
+    F = field
+    t_y = tuple(tail)
     if p_degree(t_y) <= 0:
         return F.q, None
     g = polys.p_power_gcd(t_y)
@@ -321,19 +327,87 @@ def tail_power(sys_or_tail, y: int | None = None, field: Field | None = None):
     return tau, root
 
 
-def root_count(sys: RedeiSystem, y: int) -> int:
+def root_count(tail, field: Field) -> int:
     """Roots of X^q + T(X,y) in GF(q), counted with multiplicity."""
-    F = sys.field
-    poly = p_add(F, polys.p_monomial(F.q), sys.tail.specialize(y))
-    return polys.count_roots_with_multiplicity(F, poly)
+    poly = p_add(field, polys.p_monomial(field.q), tail)
+    return polys.count_roots_with_multiplicity(field, poly)
 
 
 @dataclass(frozen=True)
 class TailData:
     modulus: int
     root: tuple | None
-    root_count: int | None
     tail_degree: int
+
+
+class SlopeTable(LineTable):
+    """Line profiles and Rédei specializations of one point set, by slope.
+
+    Tails and their powers are computed on first read and kept; the
+    quotient and root counts, each read once, are not.  The bivariate system
+    specializes slope by slope, R(X,y) Q(X,y) = X^q + T(X,y), so its
+    set-level facts are read off the q specialized tails.  On X^i, i >= 1,
+    the Y-coefficient of T has degree at most q - i < q, so it vanishes at
+    every field value only when it is zero: deg_X T is the largest
+    deg T(X,y) (for |U| >= 2, where deg_X T >= 1), and the X-exponents of
+    T from 1 up are the union of those of the T(X,y).  Tails need
+    1 <= |U| <= q.
+    """
+
+    def __init__(self, U: AffinePointSet):
+        super().__init__(U)
+        self._tails = {}
+        self._powers = {}
+
+    def tail(self, y: int) -> tuple:
+        """T(X, y) at a field value y."""
+        t_y = self._tails.get(y)
+        if t_y is None:
+            if not 1 <= len(self.U) <= self.field.q:
+                raise ValueError(f"need 1 <= |U| <= q, got |U| = {len(self.U)}, "
+                                 f"q = {self.field.q}")
+            t_y = self._tails[y] = specialized_tail(self.U, y)
+        return t_y
+
+    def power(self, y: int) -> TailData:
+        """t(y), the power root and deg T(X,y) on a determined non-vertical
+        slope, where T(X,y) = -X would contradict the theory."""
+        data = self._powers.get(y)
+        if data is None:
+            F = self.field
+            if y == F.q or y not in self.dirs.determined:
+                raise ValueError(f"slope {y} is not a determined non-vertical slope")
+            t_y = self.tail(y)
+            if t_y == (0, F.neg(1)):
+                raise SoundnessError("determined slope produced an undetermined tail")
+            tau, root = tail_power(t_y, F)
+            data = self._powers[y] = TailData(tau, root, p_degree(t_y))
+        return data
+
+    def kappa(self, y: int) -> int:
+        """Roots of X^q + T(X,y) in GF(q) with multiplicity; at least |U| on
+        a determined slope."""
+        k = root_count(self.tail(y), self.field)
+        if y in self.dirs.determined and k < len(self.U):
+            raise SoundnessError("root count below |U| on a determined slope")
+        return k
+
+    def specialization(self, y: int):
+        """(R(X,y), Q(X,y)) with Q(X,y) the quotient of X^q - X by R(X,y)."""
+        F = self.field
+        r_y = specialized_redei(self.U, y)
+        return r_y, polys.p_div(F, x_power_minus_x(F), r_y)
+
+    @functools.cached_property
+    def algebraic_modulus(self) -> int:
+        """Least t(y) over the determined non-vertical slopes, q if none."""
+        return min((self.power(y).modulus for y in self.dirs.affine()),
+                   default=self.field.q)
+
+    @functools.cached_property
+    def deg_x_tail(self) -> int:
+        """deg_X T, for |U| >= 2."""
+        return max(p_degree(self.tail(y)) for y in range(self.field.q))
 
 
 @dataclass(frozen=True)
@@ -348,80 +422,29 @@ class AlgebraicInvariants:
 
     per_direction: dict
     modulus: int
-    tail_degree: int
     infinity_determined: bool
 
 
-def algebraic_invariants(U: AffinePointSet, sys: RedeiSystem | None = None,
-                         dirs: DirectionSet | None = None,
-                         geo: GeometricInvariants | None = None,
-                         with_root_counts: bool = False) -> AlgebraicInvariants:
+def algebraic_invariants(U) -> AlgebraicInvariants:
     """Tail moduli of every determined non-vertical slope plus the aggregate.
 
     Also asserts the order relation between the geometric and algebraic
     moduli, per direction and in aggregate.
     """
-    F = U.field
-    dirs = directions_of(U) if dirs is None else dirs
+    table = SlopeTable.of(U)
+    dirs = table.dirs
     if not dirs.determined:
         raise ValueError("no determined direction")
-    sys = redei_system(U, verify=False) if sys is None else sys
-    geo = geometric_invariants(U, dirs) if geo is None else geo
+    geo = table.geo
     per = {}
     for y in dirs.affine():
-        t_y = sys.tail.specialize(y)
-        tau, root = tail_power(t_y, field=F)
-        kappa = root_count(sys, y) if with_root_counts else None
-        if kappa is not None and kappa < sys.n:
-            raise SoundnessError("root count below |U| on a determined slope")
-        if geo.per_direction[y] > tau:
+        per[y] = table.power(y)
+        if geo.per_direction[y] > per[y].modulus:
             raise SoundnessError("geometric modulus exceeds algebraic modulus")
-        per[y] = TailData(tau, root, kappa, p_degree(t_y))
-    modulus = min((d.modulus for d in per.values()), default=F.q)
+    modulus = table.algebraic_modulus
     if geo.modulus > modulus:
         raise SoundnessError("aggregate geometric modulus exceeds algebraic one")
-    return AlgebraicInvariants(per, modulus, sys.deg_x_tail(), dirs.has_infinity)
-
-
-@dataclass(frozen=True)
-class SpecializationCheck:
-    """Structure of R(X,y) at one slope.
-
-    Determined slope: all exponents divisible by the slope modulus but not
-    all by p times it.  Undetermined slope: R(X,y) divides X^q - X.
-    """
-
-    y: int
-    determined: bool
-    modulus: int | None
-    in_basis: bool | None
-    not_in_p_basis: bool | None
-    divides_split: bool | None
-
-    @property
-    def passed(self) -> bool:
-        if self.determined:
-            return bool(self.in_basis and self.not_in_p_basis)
-        return bool(self.divides_split)
-
-
-def check_specialization(U: AffinePointSet, y: int,
-                         dirs: DirectionSet | None = None) -> SpecializationCheck:
-    F = U.field
-    if not 0 <= y < F.q:
-        raise ValueError("specialization slope must be a field value")
-    dirs = directions_of(U) if dirs is None else dirs
-    R = redei_polynomial(U)
-    r_y = R.specialize(y)
-    if y in dirs.determined:
-        m = direction_modulus(U, y)
-        return SpecializationCheck(
-            y, True, m,
-            in_power_basis(r_y, m),
-            not in_power_basis(r_y, F.p * m),
-            None)
-    rem = polys.p_mod(F, x_power_minus_x(F), r_y)
-    return SpecializationCheck(y, False, None, None, None, rem == ())
+    return AlgebraicInvariants(per, modulus, dirs.has_infinity)
 
 
 @dataclass(frozen=True)
@@ -435,42 +458,38 @@ class MembershipCheck:
         return all(e[2] for e in self.entries)
 
 
-def check_specialized_membership(U: AffinePointSet,
-                                 sys: RedeiSystem | None = None) -> MembershipCheck:
+def check_specialized_membership(U) -> MembershipCheck:
     """For determined slopes both Q(X,y) and T(X,y) lie in GF(q)[X^m] for
     the slope modulus m, and Q(X,y) avoids GF(q)[X^(p m)] whenever
     deg R <= deg Q.  For undetermined slopes R(X,y) Q(X,y) = X^q - X and
     Q(X,y) splits into distinct linear factors."""
-    F = U.field
-    dirs = directions_of(U)
-    sys = redei_system(U, verify=False) if sys is None else sys
+    table = SlopeTable.of(U)
+    F = table.field
+    n = len(table.U)
     entries = []
-    sharper = sys.n <= F.q - sys.n
+    sharper = n <= F.q - n
     for y in range(F.q):
-        q_y = sys.quotient.specialize(y)
-        if y in dirs.determined:
-            m = direction_modulus(U, y)
-            t_y = sys.tail.specialize(y)
-            ok = in_power_basis(q_y, m) and in_power_basis(t_y, m)
+        r_y, q_y = table.specialization(y)
+        if y in table.dirs.determined:
+            m = direction_modulus(table, y)
+            ok = in_power_basis(q_y, m) and in_power_basis(table.tail(y), m)
             note = f"modulus {m}"
             if sharper:
                 ok = ok and not in_power_basis(q_y, F.p * m)
                 note += ", sharper quotient bound applies"
             entries.append((y, True, ok, note))
         else:
-            r_y = sys.redei.specialize(y)
             product_ok = p_mul(F, r_y, q_y) == x_power_minus_x(F)
             split_ok = polys.splits_into_distinct_roots(F, q_y)
             entries.append((y, False, product_ok and split_ok, "split check"))
     return MembershipCheck(tuple(entries))
 
 
-def check_power_span(sys: RedeiSystem, modulus: int):
+def check_power_span(U, modulus: int):
     """Every X-exponent of X^q + T must lie in {0, 1} or be a multiple of
     the aggregate algebraic modulus.  Returns (ok, offending exponents)."""
-    exps = {sys.field.q}
-    for i, row in enumerate(sys.tail.coeffs):
-        if row:
-            exps.add(i)
+    table = SlopeTable.of(U)
+    q = table.field.q
+    exps = {q}.union(*(polys.p_exponents(table.tail(y)) for y in range(q)))
     bad = tuple(sorted(e for e in exps if e not in (0, 1) and e % modulus))
     return not bad, bad

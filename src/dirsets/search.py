@@ -233,12 +233,8 @@ def _row_for(ctx: SetContext, outcomes):
     if ctx.dirs.determined:
         s = ctx.geo.modulus
         if len(ctx.U) <= q:
-            try:
-                alg = ctx.canon_alg
-                t = alg.modulus
-                deg = alg.tail_degree
-            except ValueError:
-                pass
+            t = ctx.canon_alg.modulus
+            deg = ctx.canonical.deg_x_tail
     case = ""
     holds = ""
     applicable = [v for _, v in outcomes if v.applicable]

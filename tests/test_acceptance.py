@@ -15,7 +15,8 @@ from dirsets.field import make_field
 from dirsets.geometry import (AffinePointSet, check_line_congruence,
                               directions_of, geometric_invariants)
 from dirsets import polys as P
-from dirsets.redei import BivariatePoly, algebraic_invariants, redei_system
+from dirsets.redei import (BivariatePoly, SlopeTable, algebraic_invariants,
+                           redei_system)
 from dirsets.linsets import (ProjectiveLinearSpec, direction_code_of_projective,
                              plane_set, project_subgeometry,
                              realize_direction_set, subfield_subspaces)
@@ -118,8 +119,8 @@ def test_criterion_2_golden_fixture(unit_square):
     sys_ = redei_system(unit_square)
     # hand expansion: T = (Y^2+Y+1) X^2 + (Y^2+Y) X
     assert sys_.tail.coeffs == ((), (0, 1, 1), (1, 1, 1))
-    alg = algebraic_invariants(unit_square, sys_)
-    assert alg.modulus == 2 and alg.tail_degree == 2
+    table = SlopeTable(unit_square)
+    assert algebraic_invariants(table).modulus == 2 and table.deg_x_tail == 2
     from dirsets.analysis import classify_direction_trichotomy
     verdict = classify_direction_trichotomy(unit_square)
     assert verdict.case == 2 and verdict.holds

@@ -1,9 +1,13 @@
+import hashlib
 import json
 import os
+
+import pytest
 
 from dirsets.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 E1 = os.path.join(FIXTURES, "e1.pts")
 COLLINEAR = os.path.join(FIXTURES, "collinear3_gf5.pts")
 
@@ -169,9 +173,12 @@ def test_usage_errors(capsys):
 def test_module_entry_point():
     import subprocess
     import sys
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "dirsets", "directions", "--set", E1],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "D = {0, 1, inf}" in proc.stdout
 
@@ -185,6 +192,23 @@ def test_soundness_alarm_exit_code(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "verify_statement", boom)
     rc = cli.main(["verify", "--statement", "thm-m", "--set", E1])
+    assert rc == 3
+    assert "soundness alarm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--statements", "thm-m", "--format", "csv"],
+    ["--statements", "tail-degree-bound", "--format", "csv"],
+    ["--statements", "moduli-order", "--format", "json"],
+])
+def test_minus_x_tail_on_a_determined_slope_is_an_alarm(capsys, monkeypatch, argv):
+    # -X is the tail of an undetermined slope; every path that reads a
+    # determined slope's tail must raise the same alarm
+    from dirsets import polys, redei
+
+    monkeypatch.setattr(redei, "specialized_tail",
+                        lambda U, y: polys.p_trim((0, U.field.neg(1))))
+    rc = main(["search", "--q", "3", "--n-max", "3"] + argv)
     assert rc == 3
     assert "soundness alarm" in capsys.readouterr().err
 
@@ -228,3 +252,32 @@ def test_invariants_oversized_set(capsys, tmp_path):
     assert rc == 0
     assert doc["result"]["s"] == 1 and doc["result"]["t"] is None
     assert "at most q points" in doc["result"]["note"]
+
+
+S9 = ("thm-m,size-q-trichotomy,prime-dichotomy,line-congruence,"
+      "tail-degree-bound,root-power-bound,power-membership,power-span,"
+      "moduli-order")
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["search", "--q", "3", "--n-max", "9", "--statements", S9, "--format", "csv"],
+     "981b28d65701531ad00808f129d28e59f360a2f50921f9e3f59e606907ddf264"),
+    (["search", "--q", "3", "--n-max", "9", "--statements", S9, "--format", "json"],
+     "d8d25bdebf064622c1d8944e41f273bb457745c83abc1d6c5b94bff69c2d798d"),
+    (["search", "--q", "4", "--n-max", "4", "--statements", S9, "--format", "csv"],
+     "8765b7d6486b42ffaf383b5287121c5ac883b9a5d76bbaabbaffa8bb748ba84e"),
+    (["search", "--q", "4", "--n-max", "4", "--statements", S9, "--format", "json"],
+     "da3b797931bf25cd3fd303af3966757e03da3ee8ae986b7365b1afe101d8cdf3"),
+    (["hunt", "--conjecture", "conj-moduli-match", "--q", "4", "--n-min", "2",
+      "--n-max", "4", "--format", "json"],
+     "0a4cf42876eb84bf45c9014e1f6f3b2ed9e95871a6ef696570fccddec51d77cc"),
+    (["hunt", "--conjecture", "conj-maximal-linear", "--q", "4", "--n-min", "2",
+      "--n-max", "4", "--format", "json"],
+     "1f3926af5169c79865d6a6b4c77cac8baa7d5c749ab0e3d4a3b52fd0ebedb644"),
+])
+def test_report_bytes_are_pinned(capsys, argv, digest):
+    # sha256 of each report: a change to report bytes must update these
+    # digests on purpose
+    rc, out = run(capsys, argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

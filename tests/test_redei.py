@@ -4,10 +4,11 @@ import random
 import pytest
 
 from dirsets.field import make_field
-from dirsets.geometry import AffinePointSet, directions_of, geometric_invariants
+from dirsets.geometry import (AffinePointSet, direction_modulus, directions_of,
+                              geometric_invariants)
 from dirsets import polys as P
-from dirsets.redei import (BivariatePoly, algebraic_invariants, check_power_span,
-                           check_specialization, check_specialized_membership,
+from dirsets.redei import (BivariatePoly, SlopeTable, algebraic_invariants,
+                           check_power_span, check_specialized_membership,
                            redei_polynomial, redei_system, root_count,
                            specialized_tail, tail_power)
 from conftest import random_point_set
@@ -120,32 +121,42 @@ def test_specialized_tail_fast_path_agrees(gf8, gf9):
 
 
 def test_check_specialization(unit_square, gf5):
-    ok = check_specialization(unit_square, 0)
-    assert ok.determined and ok.modulus == 2 and ok.passed
-    free = check_specialization(unit_square, 2)
-    assert not free.determined and free.passed
-    single = check_specialization(pts(gf5, [(2, 3)]), 1)
-    assert single.passed
+    # R(X,y) lies in GF(q)[X^m] but not GF(q)[X^(p m)] on a determined slope
+    # of modulus m, and divides X^q - X on an undetermined one
+    table = SlopeTable(unit_square)
+    F4 = unit_square.field
+    assert 0 in table.dirs.determined
+    assert direction_modulus(unit_square, 0) == 2
+    r0, _ = table.specialization(0)
+    assert P.in_power_basis(r0, 2) and not P.in_power_basis(r0, 4)
+    assert 2 not in table.dirs.determined
+    r2, _ = table.specialization(2)
+    assert P.p_mod(F4, P.x_power_minus_x(F4), r2) == ()
+    single = SlopeTable(pts(gf5, [(2, 3)]))
+    r1, _ = single.specialization(1)
+    assert P.p_mod(gf5, P.x_power_minus_x(gf5), r1) == ()
 
 
 def test_tail_power_examples(unit_square, collinear3_gf5):
     sys_ = redei_system(unit_square)
-    tau, root = tail_power(sys_, 0)
+    F = unit_square.field
+    tau, root = tail_power(sys_.tail.specialize(0), F)
     assert tau == 2 and root == (0, 1)
-    tau1, _ = tail_power(sys_, 1)
+    tau1, _ = tail_power(sys_.tail.specialize(1), F)
     assert tau1 == 2
     sys_c = redei_system(collinear3_gf5)
-    assert tail_power(sys_c, 1) == (5, None)
+    assert tail_power(sys_c.tail.specialize(1), collinear3_gf5.field) == (5, None)
     with pytest.raises(ValueError):
-        tail_power(sys_c, 0)  # slope not determined
+        SlopeTable(collinear3_gf5).power(0)  # slope not determined
 
 
 def test_algebraic_invariants_unit_square(unit_square):
-    alg = algebraic_invariants(unit_square, with_root_counts=True)
-    assert alg.modulus == 2 and alg.tail_degree == 2
+    table = SlopeTable(unit_square)
+    alg = algebraic_invariants(table)
+    assert alg.modulus == 2 and table.deg_x_tail == 2
     assert alg.infinity_determined
     assert set(alg.per_direction) == {0, 1}
-    assert all(d.root_count == 4 for d in alg.per_direction.values())
+    assert all(table.kappa(y) == 4 for y in alg.per_direction)
 
 
 def test_algebraic_invariants_collinear(collinear3_gf5):
@@ -168,18 +179,19 @@ def test_subfield_span_minus_point_separates_moduli(p):
 
 
 def test_root_count_examples(unit_square, collinear3_gf5):
+    F4, F5 = unit_square.field, collinear3_gf5.field
     sys_ = redei_system(unit_square)
-    assert root_count(sys_, 0) == 4
+    assert root_count(sys_.tail.specialize(0), F4) == 4
     for y in (2, 3):  # undetermined: X^q - X has q simple roots
-        assert root_count(sys_, y) == 4
+        assert root_count(sys_.tail.specialize(y), F4) == 4
     sys_c = redei_system(collinear3_gf5)
-    assert root_count(sys_c, 1) == 5
+    assert root_count(sys_c.tail.specialize(1), F5) == 5
     rng = random.Random(3)
     for _ in range(20):
-        U = random_point_set(unit_square.field, rng, rng.randint(2, 4))
+        U = random_point_set(F4, rng, rng.randint(2, 4))
         s = redei_system(U)
         for y in directions_of(U).affine():
-            assert root_count(s, y) >= len(U)
+            assert root_count(s.tail.specialize(y), F4) >= len(U)
 
 
 def test_membership_check(unit_square, gf5):
@@ -192,11 +204,9 @@ def test_membership_check(unit_square, gf5):
 
 
 def test_power_span(unit_square, collinear3_gf5, gf9):
-    sys_ = redei_system(unit_square)
-    ok, bad = check_power_span(sys_, 2)
+    ok, bad = check_power_span(unit_square, 2)
     assert ok and not bad
-    sys_c = redei_system(collinear3_gf5)
-    assert check_power_span(sys_c, 5)[0]
+    assert check_power_span(collinear3_gf5, 5)[0]
     rng = random.Random(15)
     scalars = (0, 1, 2)  # the prime subfield of GF(9)
     for _ in range(15):
@@ -209,9 +219,8 @@ def test_power_span(unit_square, collinear3_gf5, gf9):
         U = pts(gf9, span)
         if len(U) > 9 or len(U) < 2:
             continue
-        sys9 = redei_system(U)
-        alg = algebraic_invariants(U, sys9)
-        assert check_power_span(sys9, alg.modulus)[0]
+        alg = algebraic_invariants(U)
+        assert check_power_span(U, alg.modulus)[0]
 
 
 @pytest.mark.parametrize("q,params", [(3, (3, 1)), (4, (2, 2)), (5, (5, 1)),
@@ -233,7 +242,7 @@ def test_moduli_inequality_per_direction(gf8):
         dirs = directions_of(U)
         if not dirs.determined:
             continue
-        geo = geometric_invariants(U, dirs)
+        geo = geometric_invariants(U)
         alg = algebraic_invariants(U)
         for y, data in alg.per_direction.items():
             assert geo.per_direction[y] <= data.modulus
@@ -263,10 +272,54 @@ def test_division_pipeline_soak_larger_fields(params):
     rng = random.Random(q * 13)
     for i in range(25):
         U = random_point_set(F, rng, rng.randint(1, q))
-        sys_ = redei_system(U, verify=True)
+        redei_system(U, verify=True)
         if i % 5 == 0:
-            assert check_specialized_membership(U, sys_).passed
-            dirs = directions_of(U)
-            if dirs.determined:
-                alg = algebraic_invariants(U, sys_, dirs)
-                assert check_power_span(sys_, alg.modulus)[0]
+            assert check_specialized_membership(U).passed
+            if directions_of(U).determined:
+                alg = algebraic_invariants(U)
+                assert check_power_span(U, alg.modulus)[0]
+
+
+def _differential_sets(q):
+    """Every set of 1 <= n <= q points for q <= 4, else 150 seeded sets."""
+    params = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1),
+              8: (2, 3), 9: (3, 2)}[q]
+    F = make_field(*params)
+    if q <= 4:
+        for n in range(1, q + 1):
+            for codes in itertools.combinations(range(q * q), n):
+                yield pts(F, [divmod(c, q) for c in codes])
+    else:
+        rng = random.Random(q * 101)
+        for _ in range(150):
+            yield random_point_set(F, rng, rng.randint(1, q))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_slope_table_matches_bivariate_system(q):
+    # the table specializes slope by slope what the verified bivariate
+    # system computes at once
+    checked = 0
+    for U in _differential_sets(q):
+        F = U.field
+        sys_ = redei_system(U, verify=True)
+        table = SlopeTable(U)
+        for y in range(q):
+            t_y = sys_.tail.specialize(y)
+            assert table.specialization(y) == (sys_.redei.specialize(y),
+                                               sys_.quotient.specialize(y))
+            assert table.tail(y) == t_y
+            assert table.kappa(y) == P.count_roots_with_multiplicity(
+                F, P.p_add(F, P.p_monomial(q), t_y))
+            if y in table.dirs.determined:
+                data = table.power(y)
+                assert (data.modulus, data.root) == tail_power(t_y, F)
+                assert data.tail_degree == P.p_degree(t_y)
+        if len(U) >= 2:
+            assert table.deg_x_tail == sys_.deg_x_tail()
+        exps = {q} | {i for i, row in enumerate(sys_.tail.coeffs) if row}
+        for m in (F.p ** e for e in range(F.h + 1)):
+            bad = tuple(sorted(e for e in exps if e not in (0, 1) and e % m))
+            assert check_power_span(table, m) == (not bad, bad)
+        checked += 1
+    assert checked == {2: 10, 3: 129, 4: 2516}.get(q, 150)

@@ -6,6 +6,7 @@ import pytest
 
 from dirsets.field import make_field
 from dirsets.geometry import AffinePointSet, apply_collineation, directions_of
+from dirsets.analysis import STATEMENTS
 from dirsets.search import (CompletionQuery, SearchConfig, canonical_form,
                             complete_set, enumerate_sets, hunt, is_maximal,
                             point_code, point_from_code, sweep)
@@ -211,3 +212,22 @@ def test_symmetry_representatives_cover_all_orbits(gf2):
     full = SearchConfig(q=2, n_min=0, n_max=4)
     canon = {canonical_form(U) for U in enumerate_sets(full)}
     assert set(reps) == canon
+
+
+def test_theorem_sweep_never_builds_the_bivariate_system(monkeypatch):
+    import sys
+    from dirsets import redei
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bivariate Rédei system built during a sweep")
+
+    for name, module in list(sys.modules.items()):
+        if name == "dirsets" or name.startswith("dirsets."):
+            for attr, value in list(vars(module).items()):
+                if value is redei.redei_system:
+                    monkeypatch.setattr(module, attr, refuse)
+    theorems = tuple(s for s in STATEMENTS if not s.startswith("conj-"))
+    assert len(theorems) == 9
+    report = sweep(SearchConfig(q=3, n_min=0, n_max=9, statements=theorems),
+                   collect_rows=True)
+    assert report.sets_examined == 512 and not report.failed
