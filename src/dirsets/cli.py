@@ -218,6 +218,12 @@ def _search_config(args) -> SearchConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ValueError(f"{args.config}: a search config is a JSON object")
+        unknown = sorted(set(base) - set(SearchConfig.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"{args.config}: unknown config fields "
+                             f"{', '.join(unknown)}")
     merged = dict(base)
     for key in ("q", "n_min", "n_max", "mode", "seed", "budget", "workers"):
         val = getattr(args, key, None)

@@ -3,10 +3,11 @@
 The enumeration stream is deterministic: exhaustive mode walks subsets
 of the point codes (code = a*q + b) in lexicographic order per size;
 random mode draws a seeded budget of samples.  With symmetry reduction
-on, only sets equal to their canonical form survive, where the
-canonical form of a set is the least sorted code tuple over the full
-affine collineation group (orbit minimization: simple and affordable at
-desk scale).
+on (exhaustive mode only), only sets equal to their canonical form
+survive: the least sorted code tuple over the affine collineation group.
+Every least image sends some ordered pair of the set to codes 0 and 1,
+so the canonical form is a scan over the set's own affine frames, and
+the walk visits only code tuples that start with (0, 1).
 
 Sweeps shard the stream by a stable hash of each set's representative
 into a fixed number of shards; per-shard tallies are merged in shard
@@ -19,7 +20,6 @@ import itertools
 import random
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -64,9 +64,15 @@ class SearchConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "random" and (self.seed is None or self.budget is None):
             raise ValueError("random mode requires an explicit seed and budget")
+        if self.mode == "random" and self.symmetry:
+            raise ValueError("symmetry reduction needs exhaustive mode")
+        if self.budget is not None and self.budget < 0:
+            raise ValueError("budget must be nonnegative")
         n_max = self.q * self.q if self.n_max is None else self.n_max
         if n_max > self.q * self.q:
             raise ValueError("n_max exceeds the plane size")
+        if not 0 <= self.n_min <= n_max:
+            raise ValueError("need 0 <= n_min <= n_max")
         object.__setattr__(self, "n_max", n_max)
         for s in self.statements:
             if s not in STATEMENTS:
@@ -85,76 +91,68 @@ class SearchConfig:
                 "statements": list(self.statements)}
 
 
-# -- collineation group and canonical forms ----------------------------------
+# -- affine frames and canonical forms ----------------------------------------
 
-_group_cache = {}
+def _orbit_min(F: Field, pts, stop_at=None):
+    """Least sorted code tuple over the affine collineation group.
 
-
-def _invertible_matrices(F: Field):
-    """All invertible 2x2 matrices over the field, flattened and cached.
-
-    Only the matrices are materialized (O(q^4) tuples); translations are
-    applied on the fly, so the full collineation group never needs q^2-sized
-    permutation tables.  Desk-scale for q <= 9.
+    pts is the sorted point list.  A least image of n >= 2 points holds
+    codes 0 and 1, so it is the image of the set in some frame
+    (P; w, Q - P): P -> (0,0), Q -> (0,1), P != Q in the set, w off the
+    line PQ.  With e fixed by det(e, Q - P) = 1, these w are
+    (e - mu (Q - P)) / lam for lam != 0 and any mu, and a point P + x
+    has frame coordinates (lam u, v + mu u) with u = det(x, Q - P),
+    v = det(e, x): n(n-1)(q^2-q) frames in all.  With stop_at given,
+    returns as soon as some image beats it.
     """
-    key = (F.p, F.h)
-    if key not in _group_cache:
-        q = F.q
-        sub, mul = F.sub, F.mul
-        _group_cache[key] = tuple(
-            (m00, m01, m10, m11)
-            for m00 in range(q) for m01 in range(q)
-            for m10 in range(q) for m11 in range(q)
-            if sub(mul(m00, m11), mul(m01, m10)) != 0)
-    return _group_cache[key]
-
-
-def _orbit_min(U: AffinePointSet, stop_at=None):
-    """Least sorted code tuple over the collineation group; with stop_at
-    given, returns early as soon as some image beats it."""
-    F = U.field
     q = F.q
-    add, mul = F.add, F.mul
-    pts = sorted(U.points)
-    codes = tuple(point_code(q, p) for p in pts)
-    if not codes:
-        return codes
-    best = codes if stop_at is None else stop_at
-    for m00, m01, m10, m11 in _invertible_matrices(F):
-        base = [(add(mul(m00, a), mul(m01, b)), add(mul(m10, a), mul(m11, b)))
-                for a, b in pts]
-        for v0 in range(q):
-            for v1 in range(q):
-                image = tuple(sorted(add(x, v0) * q + add(y, v1)
-                                     for x, y in base))
-                if image < best:
-                    if stop_at is not None:
-                        return image
-                    best = image
+    if len(pts) < 2:
+        return tuple(range(len(pts)))
+    add, sub, mul, inv = F.add, F.sub, F.mul, F.inv
+    best = tuple(point_code(q, p) for p in pts) if stop_at is None else stop_at
+    for a0, b0 in pts:
+        rel = [(sub(a, a0), sub(b, b0)) for a, b in pts]
+        for d0, d1 in rel:
+            if d0 == d1 == 0:
+                continue
+            e0, e1 = (inv(d1), 0) if d1 else (0, F.neg(inv(d0)))
+            uv = [(sub(mul(x, d1), mul(y, d0)), sub(mul(e0, y), mul(e1, x)))
+                  for x, y in rel]
+            for lam in range(1, q):
+                for mu in range(q):
+                    image = tuple(sorted(mul(lam, u) * q + add(v, mul(mu, u))
+                                         for u, v in uv))
+                    if image < best:
+                        if stop_at is not None:
+                            return image
+                        best = image
     return best
 
 
 def canonical_form(U: AffinePointSet) -> tuple:
     """Least sorted code tuple over the affine collineation group."""
-    return _orbit_min(U)
-
-
-def _is_canonical(U: AffinePointSet) -> bool:
-    codes = tuple(sorted(point_code(U.field.q, p) for p in U.points))
-    return _orbit_min(U, stop_at=codes) == codes
+    return _orbit_min(U.field, sorted(U.points))
 
 
 def enumerate_sets(cfg: SearchConfig):
-    """The deterministic stream of point sets described by the config."""
+    """The deterministic stream of point sets described by the config.
+
+    With symmetry on, only code tuples that start with (0, 1) (n = 1:
+    (0,)) can be canonical; the walk visits just those, in the same
+    lexicographic order.
+    """
     F = cfg.field()
     q = cfg.q
     if cfg.mode == "exhaustive":
         for n in range(cfg.n_min, cfg.n_max + 1):
-            for codes in itertools.combinations(range(q * q), n):
-                U = AffinePointSet.of(F, [point_from_code(q, c) for c in codes])
-                if cfg.symmetry and not _is_canonical(U):
+            head = (0, 1)[:n] if cfg.symmetry else ()
+            for rest in itertools.combinations(range(len(head), q * q),
+                                               n - len(head)):
+                codes = head + rest
+                pts = [point_from_code(q, c) for c in codes]
+                if cfg.symmetry and _orbit_min(F, pts, stop_at=codes) != codes:
                     continue
-                yield U
+                yield AffinePointSet.of(F, pts)
     else:
         rng = random.Random(cfg.seed)
         for _ in range(cfg.budget):
@@ -301,6 +299,8 @@ def sweep(cfg: SearchConfig, replay_dir=None, collect_rows: bool = False) -> Sea
     t0 = time.monotonic()
     all_shards = list(range(N_SHARDS))
     if cfg.workers > 1:
+        # imported here so that single-worker calls skip multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         chunks = [all_shards[i::cfg.workers] for i in range(cfg.workers)]
         tallies = {}
         shard_data = {}

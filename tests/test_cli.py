@@ -100,8 +100,9 @@ def test_search_csv(capsys):
 
 
 def test_search_empty_stream_header_only(capsys):
-    rc, out = run(capsys, ["search", "--q", "3", "--n-min", "1", "--n-max", "0",
-                           "--statements", "thm-m", "--format", "csv"])
+    rc, out = run(capsys, ["search", "--q", "3", "--mode", "random", "--seed", "1",
+                           "--budget", "0", "--statements", "thm-m",
+                           "--format", "csv"])
     assert rc == 0
     lines = [line for line in out.splitlines() if not line.startswith("#")]
     assert lines == ["set_id,n,D_size,s,t,degXH,case,holds"]
@@ -122,6 +123,17 @@ def test_search_config_file_with_flag_override(tmp_path, capsys):
     assert rc == 0
     assert doc["config"]["n_max"] == 2
     assert doc["result"]["sets_examined"] == 36
+
+
+@pytest.mark.parametrize("content,message", [
+    ("[3]", "a search config is a JSON object"),
+    ('{"q": 3, "foo": 1}', "unknown config fields foo"),
+])
+def test_search_config_file_rejected(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    assert main(["search", "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_hunt_verb(capsys):

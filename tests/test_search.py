@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import os
 import random
 from fractions import Fraction
@@ -26,6 +29,16 @@ def test_config_validation():
         SearchConfig(q=3, statements=("nope",))
     with pytest.raises(ValueError):
         SearchConfig(q=6)                           # not a prime power
+    with pytest.raises(ValueError):                 # random mode has no orbit filter
+        SearchConfig(q=3, mode="random", seed=1, budget=50, symmetry=True)
+    with pytest.raises(ValueError):
+        SearchConfig(q=3, n_min=-1)
+    with pytest.raises(ValueError):
+        SearchConfig(q=3, n_min=3, n_max=2)
+    with pytest.raises(ValueError):
+        SearchConfig(q=3, mode="random", seed=1, budget=-1)
+    with pytest.raises(ValueError):                 # n_min above the resolved n_max
+        SearchConfig(q=2, n_min=5)
     cfg = SearchConfig(q=4, n_min=1)
     assert cfg.n_max == 16 and cfg.field().q == 4
 
@@ -66,6 +79,63 @@ def test_canonical_form_is_orbit_invariant(gf3):
         v = (rng.randrange(3), rng.randrange(3))
         image, _ = apply_collineation(U, m, v)
         assert canonical_form(U) == canonical_form(image)
+
+
+def _group_scan_min(U):
+    """Reference canonical form: the least sorted code tuple over all
+    q^2 |GL(2,q)| images, one image per matrix and translation."""
+    F = U.field
+    q = F.q
+    add, mul = F.add, F.mul
+    pts = sorted(U.points)
+    best = tuple(point_code(q, p) for p in pts)
+    for m00, m01, m10, m11 in itertools.product(range(q), repeat=4):
+        if F.sub(mul(m00, m11), mul(m01, m10)) == 0:
+            continue
+        base = [(add(mul(m00, a), mul(m01, b)), add(mul(m10, a), mul(m11, b)))
+                for a, b in pts]
+        for v0 in range(q):
+            for v1 in range(q):
+                best = min(best, tuple(sorted(add(x, v0) * q + add(y, v1)
+                                              for x, y in base)))
+    return best
+
+
+@pytest.mark.parametrize("q,params,count", [
+    (2, (2, 1), None), (3, (3, 1), None),
+    (4, (2, 2), 150), (5, (5, 1), 30), (7, (7, 1), 3)])
+def test_canonical_form_matches_group_scan(q, params, count):
+    F = make_field(*params)
+    if count is None:
+        sets = [AffinePointSet.of(F, [point_from_code(q, c) for c in codes])
+                for n in range(q * q + 1)
+                for codes in itertools.combinations(range(q * q), n)]
+    else:
+        rng = random.Random(q)
+        sets = [random_point_set(F, rng, rng.randint(0, q + 2))
+                for _ in range(count)]
+    for U in sets:
+        assert canonical_form(U) == _group_scan_min(U)
+
+
+@pytest.mark.parametrize("q,n_max,count,digest", [
+    (3, 9, 14, "ddd56a7cbf7e61ca3938f7741d306dd80162ae7aa3657dfe9f9be357a306c965"),
+    (4, 8, 44, "a2d1d6d0ff5ee3328d88acb7ccec333eaa1b31f8c5a097d1cf3a3b63dda52d98"),
+    (5, 5, 21, "bbf37d79be20f25bb0b705ced7c6175c37427fa50b165f8c6cf63cc4ace29114"),
+])
+def test_symmetry_representatives_are_pinned(q, n_max, count, digest):
+    # digests of the representative stream of the full-group orbit filter
+    cfg = SearchConfig(q=q, n_min=0, n_max=n_max, symmetry=True)
+    reps = [tuple(sorted(point_code(q, p) for p in U.points))
+            for U in enumerate_sets(cfg)]
+    assert len(reps) == count
+    assert hashlib.sha256(json.dumps(reps).encode()).hexdigest() == digest
+
+
+def test_canonical_form_needs_no_group_table():
+    # GF(64) has 16.5M invertible 2x2 matrices; the frame scan tries 6 * 4032
+    U = pts(make_field(2, 6), [(0, 0), (1, 0), (0, 1)])
+    assert canonical_form(U) == (0, 1, 64)
 
 
 def test_is_maximal_collineation_invariant():
