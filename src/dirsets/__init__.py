@@ -23,7 +23,7 @@ from .linsets import (AffineLinearSpec, ProjectiveLinearSpec,
                       closure_witness, is_subfield_linear, plane_set,
                       project_subgeometry, realize_direction_set,
                       subfield_subspaces)
-from .analysis import (STATEMENTS, SetContext, Verdict, quotient_extension,
+from .analysis import (STATEMENTS, Verdict, quotient_extension,
                        section5_reports, verify_statement)
 from .search import (CompletionQuery, SearchConfig, SearchReport,
                      complete_set, enumerate_sets, hunt, sweep)

@@ -39,17 +39,15 @@ All bound arithmetic is exact (integers and fractions); no floats.
 
 from __future__ import annotations
 
-import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import (Field, SoundnessError, make_field, prime_power_parts,
                     subfield_orders, subfields)
-from .geometry import (AffinePointSet, canonicalize_infinity, check_line_congruence,
-                       direction_of, directions_of, geometric_invariants,
-                       is_maximal, push_infinity_out)
-from .redei import (SlopeTable, algebraic_invariants, check_power_span,
-                    check_specialized_membership)
+from .geometry import (AffinePointSet, check_line_congruence, direction_of,
+                       directions_of, geometric_invariants, is_maximal)
+from .redei import SlopeTable, check_power_span, check_specialized_membership
 # the tails reach this module through SlopeTable; the name stays bound here
 # because bench/spans.py wraps every module binding of a traced function
 from .redei import specialized_tail  # noqa: F401
@@ -58,7 +56,7 @@ from . import polys
 from .polys import in_power_basis, p_degree, p_div, p_divmod, p_monomial, p_mul
 
 __all__ = [
-    "Check", "Verdict", "SetContext", "STATEMENTS", "verify_statement",
+    "Check", "Verdict", "STATEMENTS", "verify_statement",
     "classify_direction_trichotomy", "classify_size_q_trichotomy",
     "classify_prime_dichotomy", "line_congruence_verdict",
     "tail_degree_bound", "root_power_bound", "moduli_order",
@@ -113,63 +111,16 @@ class Verdict:
         }
 
 
+_RELATIONS = {"<=": operator.le, "<": operator.lt, "==": operator.eq,
+              ">=": operator.ge, ">": operator.gt}
+
+
 def _cmp(label, lhs, rel, rhs) -> Check:
-    ops = {"<=": lambda a, b: a <= b, "<": lambda a, b: a < b,
-           "==": lambda a, b: a == b, ">=": lambda a, b: a >= b,
-           ">": lambda a, b: a > b}
-    return Check(label, lhs, rel, rhs, ops[rel](lhs, rhs))
+    return Check(label, lhs, rel, rhs, _RELATIONS[rel](lhs, rhs))
 
 
 def _inapplicable(stmt: str, why: str) -> Verdict:
     return Verdict(stmt, False, notes=(why,))
-
-
-class SetContext:
-    """Shared lazy pipeline state for evaluating many statements on one set.
-
-    One SlopeTable per image the statements use: the set itself (`table`),
-    its image determining the vertical direction (`canonical`) and its
-    image not determining it (`no_infinity`).  An image equal to the set
-    shares the set's table.
-    """
-
-    def __init__(self, U: AffinePointSet):
-        self.U = U
-        self.field = U.field
-        self.table = SlopeTable(U)
-
-    @property
-    def dirs(self):
-        return self.table.dirs
-
-    @property
-    def geo(self):
-        return self.table.geo
-
-    def _image_table(self, W: AffinePointSet) -> SlopeTable:
-        return self.table if W is self.U else SlopeTable(W)
-
-    @functools.cached_property
-    def canonical(self):
-        if not self.dirs.determined:
-            return None
-        return self._image_table(canonicalize_infinity(self.table))
-
-    @functools.cached_property
-    def canon_alg(self):
-        return algebraic_invariants(self.canonical)
-
-    @functools.cached_property
-    def no_infinity(self):
-        return self._image_table(push_infinity_out(self.table))
-
-    @functools.cached_property
-    def maximal(self):
-        return is_maximal(self.table)
-
-
-def _as_context(U) -> SetContext:
-    return U if isinstance(U, SetContext) else SetContext(U)
 
 
 # -- the trichotomy through both moduli ------------------------------------
@@ -179,21 +130,22 @@ def classify_direction_trichotomy(U) -> Verdict:
     modulus q with a single (vertical) determined direction.  The set is
     first moved by a deterministic collineation so the vertical direction
     is determined."""
-    ctx = _as_context(U)
+    table = SlopeTable.of(U)
     stmt = "thm-m"
-    if len(ctx.U) < 2 or not ctx.dirs.determined:
+    if len(table.U) < 2 or not table.dirs.determined:
         return _inapplicable(stmt, "no determined direction")
-    if ctx.dirs.is_all:
+    if table.dirs.is_all:
         return _inapplicable(stmt, "every direction is determined")
-    q = ctx.field.q
-    n = len(ctx.U)
+    q = table.field.q
+    n = len(table.U)
     if n > q:
         raise SoundnessError("more than q points but not all directions determined")
-    s = ctx.canonical.geo.modulus
-    t = ctx.canon_alg.modulus
-    D = len(ctx.dirs)
+    W = table.canonical
+    s = W.geo.modulus
+    t = W.alg.modulus
+    D = len(table.dirs)
     notes = []
-    if ctx.canon_alg.infinity_determined:
+    if W.alg.infinity_determined:
         notes.append("algebraic modulus taken over non-vertical determined slopes")
     checks = [_cmp("geometric <= algebraic modulus", s, "<=", t)]
     if t == q:
@@ -201,8 +153,7 @@ def classify_direction_trichotomy(U) -> Verdict:
         checks.append(_cmp("single determined direction", D, "==", 1))
         checks.append(Check("vertical direction is the one determined",
                             "inf", "==", "inf",
-                            ctx.canonical.dirs.has_infinity
-                            and len(ctx.canonical.dirs) == 1))
+                            W.dirs.has_infinity and len(W.dirs) == 1))
     else:
         lower = Fraction(n - 1, t + 1) + 2
         checks.append(_cmp("lower bound", lower, "<=", Fraction(D)))
@@ -212,16 +163,16 @@ def classify_direction_trichotomy(U) -> Verdict:
         else:
             case = 2
             checks.append(_cmp("upper bound", Fraction(D), "<=", Fraction(n - 1, s - 1)))
-            checks.extend(_counting_cross_check(ctx, s))
+            checks.extend(_counting_cross_check(table, s))
     return Verdict(stmt, True, case, tuple(checks), tuple(notes))
 
 
-def _counting_cross_check(ctx: SetContext, s: int):
+def _counting_cross_check(table: SlopeTable, s: int):
     """Through any set point, each line with determined slope carries at
     least s set points, and those lines partition the rest of the set."""
-    F = ctx.field
-    det = ctx.canonical.dirs.determined
-    pts = sorted(ctx.canonical.U.points)
+    F = table.field
+    det = table.canonical.dirs.determined
+    pts = sorted(table.canonical.U.points)
     n = len(pts)
     min_count = None
     budget_ok = True
@@ -250,7 +201,7 @@ def _counting_cross_check(ctx: SetContext, s: int):
                     covers_all),
               _cmp("line counts at set points reach the modulus",
                    min_count, ">=", s),
-              _cmp("counting bound", len(ctx.dirs) * (s - 1), "<=", n - 1)]
+              _cmp("counting bound", len(table.dirs) * (s - 1), "<=", n - 1)]
     return checks
 
 
@@ -260,16 +211,16 @@ def classify_size_q_trichotomy(U) -> Verdict:
     """For |U| = q the geometric modulus forces one of three ranges for the
     direction count; above modulus 2 the set must be subfield linear.  The
     set is first moved so the vertical direction is not determined."""
-    ctx = _as_context(U)
+    table = SlopeTable.of(U)
     stmt = "size-q-trichotomy"
-    q = ctx.field.q
-    if len(ctx.U) != q:
+    q = table.field.q
+    if len(table.U) != q:
         return _inapplicable(stmt, f"needs exactly q = {q} points")
-    if ctx.dirs.is_all:
+    if table.dirs.is_all:
         return _inapplicable(stmt, "every direction is determined")
-    W = ctx.no_infinity
+    W = table.no_infinity
     s = W.geo.modulus
-    D = len(ctx.dirs)
+    D = len(table.dirs)
     checks = []
     notes = []
     if s == 1:
@@ -282,12 +233,12 @@ def classify_size_q_trichotomy(U) -> Verdict:
     else:
         case = 2
         checks.append(Check("modulus is a subfield order", s, "in",
-                            "subfield orders", s in subfield_orders(ctx.field)))
+                            "subfield orders", s in subfield_orders(table.field)))
         checks.append(_cmp("lower bound", q // s + 1, "<=", D))
         checks.append(_cmp("upper bound", D, "<=", Fraction(q - 1, s - 1)))
     if s > 2:
-        if s in subfield_orders(ctx.field):
-            linear, witness = is_subfield_linear(ctx.field, W.U.points, s)
+        if s in subfield_orders(table.field):
+            linear, witness = is_subfield_linear(table.field, W.U.points, s)
             checks.append(Check("subfield linear", "set", "is",
                                 f"GF({s})-linear", linear))
             if linear:
@@ -304,21 +255,21 @@ def classify_size_q_trichotomy(U) -> Verdict:
 def classify_prime_dichotomy(U) -> Verdict:
     """Prime order: a set of 1 < |U| <= p points (vertical direction moved
     away) is collinear or determines at least (|U|+3)/2 directions."""
-    ctx = _as_context(U)
+    table = SlopeTable.of(U)
     stmt = "prime-dichotomy"
-    F = ctx.field
+    F = table.field
     if F.h != 1:
         return _inapplicable(stmt, "field order is not prime")
-    n = len(ctx.U)
+    n = len(table.U)
     if not 1 < n <= F.q:
         return _inapplicable(stmt, f"needs 1 < |U| <= {F.q}")
-    if ctx.dirs.is_all:
+    if table.dirs.is_all:
         return _inapplicable(stmt, "every direction is determined")
-    D = len(ctx.dirs)
+    D = len(table.dirs)
     notes = []
     if D == 1:
         case = 2
-        pts = sorted(ctx.no_infinity.U.points)
+        pts = sorted(table.no_infinity.U.points)
         base_dir = direction_of(F, pts[0], pts[1])
         collinear = all(direction_of(F, pts[0], u) == base_dir for u in pts[2:])
         checks = (Check("points are collinear", "set", "is", "collinear", collinear),
@@ -336,9 +287,9 @@ def classify_prime_dichotomy(U) -> Verdict:
 # -- incidence congruence ------------------------------------------------------
 
 def line_congruence_verdict(U, modulus: int | None = None) -> Verdict:
-    ctx = _as_context(U)
+    table = SlopeTable.of(U)
     stmt = "line-congruence"
-    rep = check_line_congruence(ctx.table, modulus)
+    rep = check_line_congruence(table, modulus)
     if not rep.applicable:
         why = ("geometric modulus is 1; congruence vacuous" if rep.modulus == 1
                else "no determined direction")
@@ -346,9 +297,9 @@ def line_congruence_verdict(U, modulus: int | None = None) -> Verdict:
     checks = (
         Check("lines meet in 0 or 1 mod m points", len(rep.failures), "==", 0,
               not rep.failures),
-        Check("set size is 0 mod m", len(ctx.U) % rep.modulus, "==", 0,
+        Check("set size is 0 mod m", len(table.U) % rep.modulus, "==", 0,
               bool(rep.size_congruent)),
-        Check("direction count is 1 mod m", len(ctx.dirs) % rep.modulus, "==", 1,
+        Check("direction count is 1 mod m", len(table.dirs) % rep.modulus, "==", 1,
               bool(rep.directions_congruent)),
     )
     return Verdict(stmt, True, None, checks, (f"modulus {rep.modulus}",))
@@ -356,12 +307,12 @@ def line_congruence_verdict(U, modulus: int | None = None) -> Verdict:
 
 # -- tail lemmas ---------------------------------------------------------------
 
-def _tail_lemmas_applicable(ctx: SetContext):
-    if not ctx.dirs.determined:
+def _tail_lemmas_applicable(table: SlopeTable):
+    if not table.dirs.determined:
         return "no determined direction"
-    if ctx.dirs.is_all:
+    if table.dirs.is_all:
         return "every direction is determined"
-    if len(ctx.dirs) < 2:
+    if len(table.dirs) < 2:
         return "needs a determined non-vertical slope"
     return None
 
@@ -369,14 +320,14 @@ def _tail_lemmas_applicable(ctx: SetContext):
 def tail_degree_bound(U) -> Verdict:
     """With the vertical direction determined and some direction free, the
     direction count exceeds the X-degree of the division tail."""
-    ctx = _as_context(U)
+    table = SlopeTable.of(U)
     stmt = "tail-degree-bound"
-    why = _tail_lemmas_applicable(ctx)
+    why = _tail_lemmas_applicable(table)
     if why:
         return _inapplicable(stmt, why)
-    deg = ctx.canonical.deg_x_tail
+    deg = table.canonical.deg_x_tail
     checks = (_cmp("direction count exceeds tail degree",
-                   len(ctx.dirs), ">=", deg + 1),)
+                   len(table.dirs), ">=", deg + 1),)
     return Verdict(stmt, True, None, checks)
 
 
@@ -384,15 +335,15 @@ def root_power_bound(U) -> Verdict:
     """Per determined non-vertical slope y of the canonical image: with k
     the root count of X^q + T(X,y) and tau its tail modulus,
     (k + tau)/(tau + 1) <= tau deg f = deg_X T(X,y) <= deg_X T."""
-    ctx = _as_context(U)
+    table = SlopeTable.of(U)
     stmt = "root-power-bound"
-    why = _tail_lemmas_applicable(ctx)
+    why = _tail_lemmas_applicable(table)
     if why:
         return _inapplicable(stmt, why)
-    W = ctx.canonical
+    W = table.canonical
     deg_total = W.deg_x_tail
     checks = []
-    for y, data in sorted(ctx.canon_alg.per_direction.items()):
+    for y, data in sorted(W.alg.per_direction.items()):
         tau, kappa = data.modulus, W.kappa(y)
         deg_f = p_degree(data.root) if data.root is not None else None
         if deg_f is None:
@@ -412,26 +363,26 @@ def moduli_order(U) -> Verdict:
     """The geometric modulus never exceeds the algebraic one.  Computed on
     the raw set: the algebraic modulus ranges over determined non-vertical
     slopes (field-order convention when there is none)."""
-    ctx = _as_context(U)
+    table = SlopeTable.of(U)
     stmt = "moduli-order"
-    if not ctx.dirs.determined:
+    if not table.dirs.determined:
         return _inapplicable(stmt, "no determined direction")
-    if len(ctx.U) > ctx.field.q:
+    if len(table.U) > table.field.q:
         return _inapplicable(stmt, "tail system needs at most q points")
-    s = ctx.geo.modulus
-    t = ctx.table.algebraic_modulus
+    s = table.geo.modulus
+    t = table.algebraic_modulus
     return Verdict(stmt, True, None, (_cmp("modulus order", s, "<=", t),))
 
 
 # -- power-basis memberships ------------------------------------------------------
 
 def membership_verdict(U) -> Verdict:
-    ctx = _as_context(U)
+    table = SlopeTable.of(U)
     stmt = "power-membership"
-    n = len(ctx.U)
-    if not 1 <= n <= ctx.field.q:
+    n = len(table.U)
+    if not 1 <= n <= table.field.q:
         return _inapplicable(stmt, "needs 1 <= |U| <= q")
-    rep = check_specialized_membership(ctx.table)
+    rep = check_specialized_membership(table)
     checks = tuple(Check(f"slope {y} ({'determined' if det else 'free'}): {note}",
                          "membership", "==", "expected", ok)
                    for y, det, ok, note in rep.entries)
@@ -439,15 +390,15 @@ def membership_verdict(U) -> Verdict:
 
 
 def power_span_verdict(U) -> Verdict:
-    ctx = _as_context(U)
+    table = SlopeTable.of(U)
     stmt = "power-span"
-    n = len(ctx.U)
-    if not ctx.dirs.determined:
+    n = len(table.U)
+    if not table.dirs.determined:
         return _inapplicable(stmt, "no determined direction")
-    if n > ctx.field.q:
+    if n > table.field.q:
         return _inapplicable(stmt, "tail system needs at most q points")
-    alg = algebraic_invariants(ctx.table)
-    ok, bad = check_power_span(ctx.table, alg.modulus)
+    alg = table.alg
+    ok, bad = check_power_span(table, alg.modulus)
     notes = (f"offending exponents: {list(bad)}",) if bad else ()
     if alg.infinity_determined:
         notes += ("algebraic modulus taken over non-vertical determined slopes",)
@@ -458,13 +409,13 @@ def power_span_verdict(U) -> Verdict:
 
 # -- conjecture reports -------------------------------------------------------------
 
-def _conjecture_gate(ctx: SetContext, stmt: str):
-    if len(ctx.U) < 2:
+def _conjecture_gate(table: SlopeTable, stmt: str):
+    if len(table.U) < 2:
         return _inapplicable(stmt, "needs at least two points")
-    if ctx.dirs.is_all:
+    if table.dirs.is_all:
         return _inapplicable(stmt,
                              "every direction determined: no extension can grow the direction set")
-    if not ctx.maximal:
+    if not table.maximal:
         return _inapplicable(stmt, "set is not maximal")
     return None
 
@@ -472,19 +423,19 @@ def _conjecture_gate(ctx: SetContext, stmt: str):
 def conjecture_moduli_match(U) -> Verdict:
     """Reported, not asserted: on maximal sets every determined non-vertical
     slope with tail modulus above 2 has equal geometric and tail moduli."""
-    ctx = _as_context(U)
+    table = SlopeTable.of(U)
     stmt = "conj-moduli-match"
-    gate = _conjecture_gate(ctx, stmt)
+    gate = _conjecture_gate(table, stmt)
     if gate:
         return gate
     checks = []
     notes = []
-    for y in ctx.dirs.affine():
-        tau = ctx.table.power(y).modulus
+    for y in table.dirs.affine():
+        tau = table.power(y).modulus
         if tau > 2:
             checks.append(_cmp(f"slope {y}: moduli agree",
-                               tau, "==", ctx.geo.per_direction[y]))
-    if ctx.dirs.has_infinity:
+                               tau, "==", table.geo.per_direction[y]))
+    if table.dirs.has_infinity:
         notes.append("vertical direction not examined (tail undefined there)")
     if not checks:
         notes.append("no slope with tail modulus above 2; vacuous")
@@ -494,19 +445,19 @@ def conjecture_moduli_match(U) -> Verdict:
 def conjecture_maximal_linearity(U) -> Verdict:
     """Reported, not asserted: a maximal set whose moduli agree and exceed 2
     is subfield linear for that modulus."""
-    ctx = _as_context(U)
+    table = SlopeTable.of(U)
     stmt = "conj-maximal-linear"
-    gate = _conjecture_gate(ctx, stmt)
+    gate = _conjecture_gate(table, stmt)
     if gate:
         return gate
-    F = ctx.field
-    s = ctx.geo.modulus
-    t = ctx.table.algebraic_modulus
+    F = table.field
+    s = table.geo.modulus
+    t = table.algebraic_modulus
     if not (s == t and s > 2):
         return _inapplicable(stmt, f"hypothesis unmet: moduli {s} and {t}")
     notes = []
     if s in subfield_orders(F):
-        linear, witness = is_subfield_linear(F, ctx.U.points, s)
+        linear, witness = is_subfield_linear(F, table.U.points, s)
         if linear:
             notes.append(f"witness generators: {sorted(witness[0])}")
     else:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import __version__
 from .field import SoundnessError, make_field
 from .geometry import AffinePointSet, directions_of, format_direction
-from .redei import SlopeTable, algebraic_invariants, redei_system
+from .redei import SlopeTable, redei_system
 from .linsets import (ProjectiveLinearSpec, direction_code_of_projective,
                       plane_set, project_subgeometry, realize_direction_set)
 from .analysis import STATEMENTS, section5_reports, verify_statement
@@ -85,7 +85,7 @@ def _cmd_directions(args, out):
 def _cmd_invariants(args, out):
     U = _load_set(args.set)
     F = U.field
-    slopes = SlopeTable(U)
+    slopes = SlopeTable.of(U)
     dirs = slopes.dirs
     config = {"set": args.set, "format": args.format}
     result = {"points": len(U), "direction_count": len(dirs),
@@ -95,7 +95,7 @@ def _cmd_invariants(args, out):
         geo = slopes.geo
         result["s"] = geo.modulus
         if len(U) <= F.q:
-            alg = algebraic_invariants(slopes)
+            alg = slopes.alg
             result["t"] = alg.modulus
             result["degXH"] = slopes.deg_x_tail
             if alg.infinity_determined:
@@ -220,6 +220,9 @@ def _search_config(args) -> SearchConfig:
             base = json.load(fh)
         if not isinstance(base, dict):
             raise ValueError(f"{args.config}: a search config is a JSON object")
+        if not isinstance(base.get("statements", []), list):
+            raise ValueError(f"{args.config}: statements must be a JSON list "
+                             f"of statement ids")
         unknown = sorted(set(base) - set(SearchConfig.__dataclass_fields__))
         if unknown:
             raise ValueError(f"{args.config}: unknown config fields "
@@ -232,9 +235,8 @@ def _search_config(args) -> SearchConfig:
     if args.symmetry is not None:
         merged["symmetry"] = args.symmetry == "on"
     if getattr(args, "statements", None):
-        merged["statements"] = tuple(args.statements.split(","))
-    if "statements" in merged:
-        merged["statements"] = tuple(merged["statements"])
+        merged["statements"] = args.statements.split(",")
+    merged["statements"] = tuple(merged.get("statements", ()))
     if "q" not in merged:
         raise ValueError("q is required (flag --q or config file)")
     return SearchConfig(**merged)

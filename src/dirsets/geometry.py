@@ -23,7 +23,7 @@ __all__ = [
     "AffinePointSet", "DirectionSet", "GeometricInvariants", "LineCongruence",
     "LineTable", "direction_of", "directions_of", "line_profile", "direction_modulus",
     "geometric_invariants", "check_line_congruence", "apply_collineation",
-    "canonicalize_infinity", "push_infinity_out", "is_maximal",
+    "canonicalize_infinity", "push_infinity_out", "extension_points", "is_maximal",
     "format_direction", "parse_direction",
 ]
 
@@ -198,12 +198,13 @@ def line_profile(U: AffinePointSet, y: int):
 
 
 class LineTable:
-    """The line profiles of one point set, each counted on first read.
-
-    The functions of this module that read profiles or directions accept a
-    table wherever they accept a point set, so a caller holding one table
-    per set counts every slope once.  The direction set and the geometric
-    invariants are kept the same way.
+    """The line profiles of one point set, each counted on first read, and
+    the per-set facts built on them, each kept: directions, geometric
+    invariants, maximality, and the images `canonical` (determining the
+    vertical direction; None when nothing is determined) and `no_infinity`
+    (not determining it).  An image is a table of the same kind, and an
+    image equal to the set is this table.  The functions of this module
+    accept a table wherever they accept a point set.
     """
 
     def __init__(self, U: AffinePointSet):
@@ -229,6 +230,23 @@ class LineTable:
     @functools.cached_property
     def geo(self) -> GeometricInvariants:
         return geometric_invariants(self)
+
+    def _image(self, W: AffinePointSet) -> "LineTable":
+        return self if W is self.U else type(self)(W)
+
+    @functools.cached_property
+    def canonical(self):
+        if not self.dirs.determined:
+            return None
+        return self._image(canonicalize_infinity(self))
+
+    @functools.cached_property
+    def no_infinity(self):
+        return self._image(push_infinity_out(self))
+
+    @functools.cached_property
+    def maximal(self) -> bool:
+        return is_maximal(self)
 
 
 def direction_modulus(U, y: int) -> int:
@@ -379,28 +397,35 @@ def push_infinity_out(U) -> AffinePointSet:
     return image
 
 
+def extension_points(U):
+    """The points outside U whose directions to U are all determined by U,
+    in code order: the points whose addition leaves the direction set as
+    it is.  Only directions from a new point to U can be new, so each
+    point needs one pass over U."""
+    lines = LineTable.of(U)
+    present = lines.U.points
+    pts = sorted(present)
+    det = lines.dirs.determined
+    q = lines.field.q
+    div, sub = lines.field.div, lines.field.sub
+    for a in range(q):
+        for b in range(q):
+            if (a, b) in present:
+                continue
+            for c, d in pts:
+                if (q if a == c else div(sub(b, d), sub(a, c))) not in det:
+                    break
+            else:
+                yield (a, b)
+
+
 def is_maximal(U) -> bool:
     """True iff every added point strictly grows the direction set.
 
-    Only directions from the new point to U can be new, so each candidate
-    point needs one pass over U.  A set determining all q + 1 directions is
-    treated as maximal (no extension can change its directions).
+    A set determining all q + 1 directions is treated as maximal (no
+    extension can change its directions).
     """
     lines = LineTable.of(U)
-    U = lines.U
-    if len(U) < 2:
+    if len(lines.U) < 2:
         raise ValueError("maximality needs at least two points")
-    F = U.field
-    dirs = lines.dirs
-    if dirs.is_all:
-        return True
-    det = dirs.determined
-    pts = sorted(U.points)
-    for a in range(F.q):
-        for b in range(F.q):
-            P = (a, b)
-            if P in U.points:
-                continue
-            if all(direction_of(F, P, u) in det for u in pts):
-                return False
-    return True
+    return lines.dirs.is_all or next(extension_points(lines), None) is None

@@ -15,10 +15,12 @@ minimum over the determined non-vertical slopes (the convention when
 nothing qualifies is the field order, which happens exactly for
 single-direction sets).
 
-Sweeps never build the bivariate system: SlopeTable computes, one slope
-at a time, the specializations R(X,y), Q(X,y) and T(X,y) that the
-statements read.  RedeiSystem serves the `redei` verb and is the
-reference the tests compare the table against.
+Sweeps never build the bivariate system: SlopeTable, the one table per
+set that the statements read, computes the specializations one slope at
+a time.  R(X,y) = prod over c of (X + c)^(m_c) is read off the line
+profile of slope y, m_c points lying on the line of intercept c.
+RedeiSystem serves the `redei` verb and is the reference the tests
+compare the table against.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import functools
 from dataclasses import dataclass
 
 from .field import Field, SoundnessError
-from .geometry import AffinePointSet, LineTable, direction_modulus
+from .geometry import AffinePointSet, LineTable
 from . import polys
 from .polys import (p_add, p_degree, p_eval, p_frob_root, p_mul, p_neg,
                     p_sub, p_trim, in_power_basis, x_power_minus_x)
@@ -275,22 +277,24 @@ def _verify_system(sys: RedeiSystem) -> None:
             raise SoundnessError("quotient coefficients break the recurrence")
 
 
-def specialized_redei(U: AffinePointSet, y: int) -> tuple:
-    """R(X, y): the product of X - ay + b over the points (a, b) of U."""
-    add, mul, sub = U.field.add, U.field.mul, U.field.sub
+def specialized_redei(U, y: int) -> tuple:
+    """R(X, y) = prod over intercepts c of (X + c)^(m_c), where m_c counts
+    the points of U (a point set or a table) on the line Y = yX + c."""
+    lines = LineTable.of(U)
+    add, mul = lines.field.add, lines.field.mul
     r = [1]
-    for a, b in U.points:
-        # multiply the monic r by X + c, highest coefficient first
-        c = sub(b, mul(a, y))
-        r.append(1)
-        for i in range(len(r) - 2, 0, -1):
-            r[i] = add(r[i - 1], mul(c, r[i]))
-        r[0] = mul(c, r[0])
+    for c, m in enumerate(lines.profile(y)):
+        for _ in range(m):
+            # multiply the monic r by X + c, highest coefficient first
+            r.append(1)
+            for i in range(len(r) - 2, 0, -1):
+                r[i] = add(r[i - 1], mul(c, r[i]))
+            r[0] = mul(c, r[0])
     return tuple(r)
 
 
-def specialized_tail(U: AffinePointSet, y: int):
-    """T(X, y) computed directly from the specialized Rédei polynomial.
+def specialized_tail(U, y: int):
+    """T(X, y) of U, a point set or a table, from R(X, y).
 
     -X - T(X,y) is the remainder of X^q - X by R(X,y); this commutes with
     the bivariate division because R is monic in X.  Much cheaper than
@@ -341,9 +345,10 @@ class TailData:
 
 
 class SlopeTable(LineTable):
-    """Line profiles and Rédei specializations of one point set, by slope.
+    """The line table of one point set plus its Rédei specializations.
 
-    Tails and their powers are computed on first read and kept; the
+    R(X,y) comes from the profile of slope y.  Tails, their powers and the
+    algebraic invariants (`alg`) are computed on first read and kept; the
     quotient and root counts, each read once, are not.  The bivariate system
     specializes slope by slope, R(X,y) Q(X,y) = X^q + T(X,y), so its
     set-level facts are read off the q specialized tails.  On X^i, i >= 1,
@@ -366,7 +371,7 @@ class SlopeTable(LineTable):
             if not 1 <= len(self.U) <= self.field.q:
                 raise ValueError(f"need 1 <= |U| <= q, got |U| = {len(self.U)}, "
                                  f"q = {self.field.q}")
-            t_y = self._tails[y] = specialized_tail(self.U, y)
+            t_y = self._tails[y] = specialized_tail(self, y)
         return t_y
 
     def power(self, y: int) -> TailData:
@@ -395,7 +400,7 @@ class SlopeTable(LineTable):
     def specialization(self, y: int):
         """(R(X,y), Q(X,y)) with Q(X,y) the quotient of X^q - X by R(X,y)."""
         F = self.field
-        r_y = specialized_redei(self.U, y)
+        r_y = specialized_redei(self, y)
         return r_y, polys.p_div(F, x_power_minus_x(F), r_y)
 
     @functools.cached_property
@@ -408,6 +413,10 @@ class SlopeTable(LineTable):
     def deg_x_tail(self) -> int:
         """deg_X T, for |U| >= 2."""
         return max(p_degree(self.tail(y)) for y in range(self.field.q))
+
+    @functools.cached_property
+    def alg(self) -> "AlgebraicInvariants":
+        return algebraic_invariants(self)
 
 
 @dataclass(frozen=True)
@@ -471,7 +480,7 @@ def check_specialized_membership(U) -> MembershipCheck:
     for y in range(F.q):
         r_y, q_y = table.specialization(y)
         if y in table.dirs.determined:
-            m = direction_modulus(table, y)
+            m = table.geo.per_direction[y]
             ok = in_power_basis(q_y, m) and in_power_basis(table.tail(y), m)
             note = f"modulus {m}"
             if sharper:

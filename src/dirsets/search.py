@@ -24,8 +24,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .field import Field, make_field, prime_power_parts
-from .geometry import AffinePointSet, directions_of, direction_of, is_maximal
-from .analysis import STATEMENTS, SetContext, verify_statement
+from .geometry import (AffinePointSet, LineTable, direction_of, extension_points,
+                       is_maximal)
+from .redei import SlopeTable
+from .analysis import STATEMENTS, verify_statement
 
 __all__ = [
     "SearchConfig", "SearchReport", "CompletionQuery", "CompletionResult",
@@ -59,11 +61,25 @@ class SearchConfig:
     statements: tuple = ()
 
     def __post_init__(self):
+        for name in ("q", "n_min", "n_max", "seed", "budget", "workers"):
+            value = getattr(self, name)
+            if value is None and name in ("n_max", "seed", "budget"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.symmetry, bool):
+            raise ValueError(f"symmetry must be true or false, got {self.symmetry!r}")
+        if not (isinstance(self.statements, tuple)
+                and all(isinstance(s, str) for s in self.statements)):
+            raise ValueError(f"statements must be a tuple of statement ids, "
+                             f"got {self.statements!r}")
         prime_power_parts(self.q)
-        if self.mode not in ("exhaustive", "random"):
+        if not isinstance(self.mode, str) or self.mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "random" and (self.seed is None or self.budget is None):
             raise ValueError("random mode requires an explicit seed and budget")
+        if self.mode == "exhaustive" and (self.seed is not None or self.budget is not None):
+            raise ValueError("seed and budget apply to random mode only")
         if self.mode == "random" and self.symmetry:
             raise ValueError("symmetry reduction needs exhaustive mode")
         if self.budget is not None and self.budget < 0:
@@ -199,40 +215,35 @@ class SearchReport:
 _CSV_COLUMNS = ("set_id", "n", "D_size", "s", "t", "degXH", "case", "holds")
 
 
-def _set_id(q: int, codes) -> str:
-    payload = (str(q) + ":" + ",".join(map(str, codes))).encode()
-    return format(zlib.crc32(payload), "08x")
+def _set_hash(q: int, codes) -> int:
+    """crc32 of a set's sorted point codes: its shard and its CSV set_id."""
+    return zlib.crc32((str(q) + ":" + ",".join(map(str, codes))).encode())
 
 
-def _shard_of(q: int, codes) -> int:
-    payload = (str(q) + ":" + ",".join(map(str, codes))).encode()
-    return zlib.crc32(payload) % N_SHARDS
-
-
-def _evaluate_set(U: AffinePointSet, statements, want_row: bool):
-    ctx = SetContext(U)
+def _evaluate_set(U: AffinePointSet, statements, set_hash=None):
+    """Verdicts of the statements on U, and its CSV row when set_hash is given."""
+    table = SlopeTable(U)
     outcomes = []
     sharp = False
     for stmt in statements:
-        verdict = verify_statement(stmt, ctx)
+        verdict = verify_statement(stmt, table)
         outcomes.append((stmt, verdict))
         if verdict.applicable and "sharp" in verdict.notes:
             sharp = True
     row = None
-    if want_row:
-        row = _row_for(ctx, outcomes)
-    return outcomes, row, sharp, ctx
+    if set_hash is not None:
+        row = _row_for(table, outcomes, set_hash)
+    return outcomes, row, sharp, table
 
 
-def _row_for(ctx: SetContext, outcomes):
-    q = ctx.field.q
-    codes = tuple(sorted(point_code(q, p) for p in ctx.U.points))
+def _row_for(table: SlopeTable, outcomes, set_hash: int):
+    q = table.field.q
     s = t = deg = ""
-    if ctx.dirs.determined:
-        s = ctx.geo.modulus
-        if len(ctx.U) <= q:
-            t = ctx.canon_alg.modulus
-            deg = ctx.canonical.deg_x_tail
+    if table.dirs.determined:
+        s = table.geo.modulus
+        if len(table.U) <= q:
+            t = table.canonical.alg.modulus
+            deg = table.canonical.deg_x_tail
     case = ""
     holds = ""
     applicable = [v for _, v in outcomes if v.applicable]
@@ -242,8 +253,8 @@ def _row_for(ctx: SetContext, outcomes):
             break
     if applicable:
         holds = int(all(v.holds for v in applicable))
-    return {"set_id": _set_id(q, codes), "n": len(ctx.U),
-            "D_size": len(ctx.dirs), "s": s, "t": t, "degXH": deg,
+    return {"set_id": format(set_hash, "08x"), "n": len(table.U),
+            "D_size": len(table.dirs), "s": s, "t": t, "degXH": deg,
             "case": case, "holds": holds}
 
 
@@ -255,13 +266,14 @@ def _sweep_shards(cfg: SearchConfig, shard_ids, collect_rows: bool):
                  for sid in shard_ids}
     q = cfg.q
     for U in enumerate_sets(cfg):
-        codes = tuple(sorted(point_code(q, p) for p in U.points))
-        sid = _shard_of(q, codes)
+        set_hash = _set_hash(q, sorted(point_code(q, p) for p in U.points))
+        sid = set_hash % N_SHARDS
         if sid not in wanted:
             continue
         bucket = per_shard[sid]
         bucket["count"] += 1
-        outcomes, row, sharp, ctx = _evaluate_set(U, cfg.statements, collect_rows)
+        outcomes, row, sharp, table = _evaluate_set(
+            U, cfg.statements, set_hash if collect_rows else None)
         for stmt, verdict in outcomes:
             if not verdict.applicable:
                 tallies[stmt]["inapplicable"] += 1
@@ -275,7 +287,7 @@ def _sweep_shards(cfg: SearchConfig, shard_ids, collect_rows: bool):
                     "verdict": verdict.as_dict(),
                 })
         if sharp:
-            bucket["sharp"].append({"n": len(U), "D_size": len(ctx.dirs),
+            bucket["sharp"].append({"n": len(U), "D_size": len(table.dirs),
                                     "points": [list(p) for p in sorted(U.points)]})
         if row is not None:
             bucket["rows"].append(row)
@@ -399,8 +411,8 @@ def complete_set(query: CompletionQuery) -> CompletionResult:
     if n > q:
         raise ValueError("set already has more than q points")
     eps = q - n
-    dirs = directions_of(U)
-    det = dirs.determined
+    lines = LineTable(U)
+    det = lines.dirs.determined
     # eps < alpha sqrt(q)  <=>  eps^2 < alpha^2 q  (both sides nonnegative)
     hyp = (Fraction(eps) ** 2 < query.alpha ** 2 * q
            and Fraction(len(det)) < (q + 1) * (1 - query.alpha))
@@ -409,14 +421,7 @@ def complete_set(query: CompletionQuery) -> CompletionResult:
     if eps == 0:
         return CompletionResult((tuple(sorted(U.points)),), hyp, False)
     pts = sorted(U.points)
-    candidates = []
-    for a in range(q):
-        for b in range(q):
-            P = (a, b)
-            if P in U.points:
-                continue
-            if all(direction_of(F, P, u) in det for u in pts):
-                candidates.append(P)
+    candidates = list(extension_points(lines))
     found = []
 
     def extend(chosen, start):

@@ -9,7 +9,8 @@ from conftest import random_point_set
 from dirsets.field import make_field
 from dirsets.geometry import AffinePointSet
 from dirsets import polys as P
-from dirsets.analysis import (SetContext, STATEMENTS, build_extension_instance,
+from dirsets.redei import SlopeTable
+from dirsets.analysis import (STATEMENTS, build_extension_instance,
                               classify_direction_trichotomy,
                               classify_prime_dichotomy,
                               classify_size_q_trichotomy,
@@ -229,9 +230,9 @@ def test_verdict_json_schema(unit_square):
 
 
 def test_context_reused_between_statements(unit_square):
-    ctx = SetContext(unit_square)
-    a = verify_statement("thm-m", ctx)
-    b = verify_statement("tail-degree-bound", ctx)
+    table = SlopeTable(unit_square)
+    a = verify_statement("thm-m", table)
+    b = verify_statement("tail-degree-bound", table)
     assert a.holds and b.holds
 
 

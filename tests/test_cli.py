@@ -128,12 +128,27 @@ def test_search_config_file_with_flag_override(tmp_path, capsys):
 @pytest.mark.parametrize("content,message", [
     ("[3]", "a search config is a JSON object"),
     ('{"q": 3, "foo": 1}', "unknown config fields foo"),
+    ('{"q": 3, "n_max": "2"}', "n_max must be an integer"),
+    ('{"q": 3.0, "n_max": 2}', "q must be an integer"),
+    ('{"q": 3, "statements": "thm-m"}', "statements must be a JSON list"),
+    ('{"q": 3, "symmetry": "off"}', "symmetry must be true or false"),
+    ('{"q": 3, "workers": true}', "workers must be an integer"),
 ])
 def test_search_config_file_rejected(tmp_path, capsys, content, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(content)
     assert main(["search", "--config", str(cfg)]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_search_exhaustive_refuses_seed_and_budget(capsys):
+    for flags in (["--seed", "5", "--budget", "7"], ["--seed", "5"], ["--budget", "7"]):
+        rc = main(["search", "--q", "3", "--n-max", "2", *flags,
+                   "--statements", "thm-m", "--format", "json"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed and budget apply to random mode only" in captured.err
 
 
 def test_hunt_verb(capsys):

@@ -8,9 +8,9 @@ from dirsets.field import make_field
 from dirsets.geometry import (AffinePointSet, apply_collineation,
                               canonicalize_infinity, check_line_congruence,
                               direction_modulus, direction_of, directions_of,
-                              format_direction, geometric_invariants,
-                              is_maximal, line_profile, parse_direction,
-                              push_infinity_out)
+                              extension_points, format_direction,
+                              geometric_invariants, is_maximal, line_profile,
+                              parse_direction, push_infinity_out)
 from conftest import random_point_set
 
 
@@ -198,16 +198,17 @@ def test_is_maximal_examples(gf4, gf5, unit_square):
 
 
 def test_is_maximal_matches_definition_exhaustively(gf3):
-    # oracle: recompute |D| of every superset from scratch
+    # oracle: recompute the directions of every superset from scratch
     for n in (2, 3, 4):
         for codes in itertools.combinations(range(9), n):
             U = pts(gf3, [divmod(c, 3) for c in codes])
-            D = len(directions_of(U))
-            if directions_of(U).is_all:
+            dirs = directions_of(U)
+            free = [divmod(c, 3) for c in range(9) if divmod(c, 3) not in U.points]
+            assert list(extension_points(U)) == [
+                P for P in free if directions_of(U.with_point(P)) == dirs]
+            if dirs.is_all:
                 continue
-            naive = all(
-                len(directions_of(U.with_point(divmod(c, 3)))) > D
-                for c in range(9) if divmod(c, 3) not in U.points)
+            naive = all(len(directions_of(U.with_point(P))) > len(dirs) for P in free)
             assert is_maximal(U) == naive
 
 

@@ -39,6 +39,20 @@ def test_config_validation():
         SearchConfig(q=3, mode="random", seed=1, budget=-1)
     with pytest.raises(ValueError):                 # n_min above the resolved n_max
         SearchConfig(q=2, n_min=5)
+    # field types: ints that are not bools, a bool symmetry, a str mode and
+    # a tuple of str statements
+    for bad, field in [({"n_max": "2"}, "n_max"), ({"q": 3.0}, "q"),
+                       ({"workers": True}, "workers"), ({"seed": 1.5}, "seed"),
+                       ({"symmetry": "off"}, "symmetry"), ({"mode": 1}, "mode"),
+                       ({"statements": "thm-m"}, "statements"),
+                       ({"statements": ["thm-m"]}, "statements"),
+                       ({"statements": (1,)}, "statements")]:
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{"q": 3, **bad})
+    with pytest.raises(ValueError, match="random mode only"):
+        SearchConfig(q=3, seed=5)                   # exhaustive mode has no seed
+    with pytest.raises(ValueError, match="random mode only"):
+        SearchConfig(q=3, budget=7)
     cfg = SearchConfig(q=4, n_min=1)
     assert cfg.n_max == 16 and cfg.field().q == 4
 
@@ -194,10 +208,11 @@ def test_sweep_sharp_sets_recorded(gf5):
 def test_replay_files_written_on_failure(tmp_path, monkeypatch):
     # force a failure by swapping in an impossible statement
     from dirsets import analysis
+    from dirsets.redei import SlopeTable
 
     def always_fails(U):
-        ctx = analysis._as_context(U)
-        if len(ctx.U) != 2:
+        table = SlopeTable.of(U)
+        if len(table.U) != 2:
             return analysis.Verdict("moduli-order", False, notes=("skip",))
         return analysis.Verdict("moduli-order", True, None,
                                 (analysis.Check("forced", 1, "==", 0, False),))
