@@ -11,10 +11,9 @@ __version__ = "0.1.0"
 from .field import (Field, SoundnessError, make_field, subfield_elements,
                     subfield_orders, subfields)
 from .geometry import (AffinePointSet, DirectionSet, LineTable, apply_collineation,
-                       canonicalize_infinity, check_line_congruence,
-                       direction_modulus, direction_of, directions_of,
-                       geometric_invariants, is_maximal, line_profile,
-                       push_infinity_out)
+                       check_line_congruence, direction_modulus, direction_of,
+                       directions_of, geometric_invariants, is_maximal,
+                       line_profile)
 from .redei import (BivariatePoly, RedeiSystem, SlopeTable,
                     algebraic_invariants, redei_polynomial, redei_system,
                     root_count, specialized_tail, tail_power)

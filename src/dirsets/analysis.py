@@ -46,7 +46,8 @@ from fractions import Fraction
 from .field import (Field, SoundnessError, make_field, prime_power_parts,
                     subfield_orders, subfields)
 from .geometry import (AffinePointSet, check_line_congruence, direction_of,
-                       directions_of, geometric_invariants, is_maximal)
+                       directions_of, format_direction, geometric_invariants,
+                       is_maximal)
 from .redei import SlopeTable, check_power_span, check_specialized_membership
 # the tails reach this module through SlopeTable; the name stays bound here
 # because bench/spans.py wraps every module binding of a traced function
@@ -127,9 +128,9 @@ def _inapplicable(stmt: str, why: str) -> Verdict:
 
 def classify_direction_trichotomy(U) -> Verdict:
     """Cases: (1) geometric modulus 1, (2) both moduli proper, (3) algebraic
-    modulus q with a single (vertical) determined direction.  The set is
-    first moved by a deterministic collineation so the vertical direction
-    is determined."""
+    modulus q with a single (vertical) determined direction.  `at_infinity`
+    plays the vertical direction: t is taken over the other determined
+    directions; s, |D| and the counting facts are read off the set."""
     table = SlopeTable.of(U)
     stmt = "thm-m"
     if len(table.U) < 2 or not table.dirs.determined:
@@ -140,20 +141,17 @@ def classify_direction_trichotomy(U) -> Verdict:
     n = len(table.U)
     if n > q:
         raise SoundnessError("more than q points but not all directions determined")
-    W = table.canonical
-    s = W.geo.modulus
-    t = W.alg.modulus
+    s = table.geo.modulus
+    t = table.normal_modulus
     D = len(table.dirs)
-    notes = []
-    if W.alg.infinity_determined:
-        notes.append("algebraic modulus taken over non-vertical determined slopes")
+    notes = ["algebraic modulus taken over non-vertical determined slopes"]
     checks = [_cmp("geometric <= algebraic modulus", s, "<=", t)]
     if t == q:
         case = 3
         checks.append(_cmp("single determined direction", D, "==", 1))
         checks.append(Check("vertical direction is the one determined",
                             "inf", "==", "inf",
-                            W.dirs.has_infinity and len(W.dirs) == 1))
+                            table.dirs.determined == {table.at_infinity}))
     else:
         lower = Fraction(n - 1, t + 1) + 2
         checks.append(_cmp("lower bound", lower, "<=", Fraction(D)))
@@ -171,8 +169,8 @@ def _counting_cross_check(table: SlopeTable, s: int):
     """Through any set point, each line with determined slope carries at
     least s set points, and those lines partition the rest of the set."""
     F = table.field
-    det = table.canonical.dirs.determined
-    pts = sorted(table.canonical.U.points)
+    det = table.dirs.determined
+    pts = sorted(table.U.points)
     n = len(pts)
     min_count = None
     budget_ok = True
@@ -209,8 +207,9 @@ def _counting_cross_check(table: SlopeTable, s: int):
 
 def classify_size_q_trichotomy(U) -> Verdict:
     """For |U| = q the geometric modulus forces one of three ranges for the
-    direction count; above modulus 2 the set must be subfield linear.  The
-    set is first moved so the vertical direction is not determined."""
+    direction count; above modulus 2 the set must be subfield linear.  s,
+    |D| and linearity are collineation invariants, so the set need not be
+    moved off the vertical direction; the witness is the set's own."""
     table = SlopeTable.of(U)
     stmt = "size-q-trichotomy"
     q = table.field.q
@@ -218,8 +217,7 @@ def classify_size_q_trichotomy(U) -> Verdict:
         return _inapplicable(stmt, f"needs exactly q = {q} points")
     if table.dirs.is_all:
         return _inapplicable(stmt, "every direction is determined")
-    W = table.no_infinity
-    s = W.geo.modulus
+    s = table.geo.modulus
     D = len(table.dirs)
     checks = []
     notes = []
@@ -238,7 +236,7 @@ def classify_size_q_trichotomy(U) -> Verdict:
         checks.append(_cmp("upper bound", D, "<=", Fraction(q - 1, s - 1)))
     if s > 2:
         if s in subfield_orders(table.field):
-            linear, witness = is_subfield_linear(table.field, W.U.points, s)
+            linear, witness = is_subfield_linear(table.field, table.U.points, s)
             checks.append(Check("subfield linear", "set", "is",
                                 f"GF({s})-linear", linear))
             if linear:
@@ -253,8 +251,8 @@ def classify_size_q_trichotomy(U) -> Verdict:
 # -- the prime-order dichotomy -----------------------------------------------
 
 def classify_prime_dichotomy(U) -> Verdict:
-    """Prime order: a set of 1 < |U| <= p points (vertical direction moved
-    away) is collinear or determines at least (|U|+3)/2 directions."""
+    """Prime order: a set of 1 < |U| <= p points is collinear or determines
+    at least (|U|+3)/2 directions."""
     table = SlopeTable.of(U)
     stmt = "prime-dichotomy"
     F = table.field
@@ -269,7 +267,7 @@ def classify_prime_dichotomy(U) -> Verdict:
     notes = []
     if D == 1:
         case = 2
-        pts = sorted(table.no_infinity.U.points)
+        pts = sorted(table.U.points)
         base_dir = direction_of(F, pts[0], pts[1])
         collinear = all(direction_of(F, pts[0], u) == base_dir for u in pts[2:])
         checks = (Check("points are collinear", "set", "is", "collinear", collinear),
@@ -325,34 +323,37 @@ def tail_degree_bound(U) -> Verdict:
     why = _tail_lemmas_applicable(table)
     if why:
         return _inapplicable(stmt, why)
-    deg = table.canonical.deg_x_tail
+    deg = table.normal_deg_x_tail
     checks = (_cmp("direction count exceeds tail degree",
                    len(table.dirs), ">=", deg + 1),)
     return Verdict(stmt, True, None, checks)
 
 
 def root_power_bound(U) -> Verdict:
-    """Per determined non-vertical slope y of the canonical image: with k
-    the root count of X^q + T(X,y) and tau its tail modulus,
-    (k + tau)/(tau + 1) <= tau deg f = deg_X T(X,y) <= deg_X T."""
+    """Per determined direction y other than `at_infinity`, in code order:
+    with k the root count of X^q + T(X,y) and tau its tail modulus,
+    (k + tau)/(tau + 1) <= tau deg f = deg_X T(X,y) <= deg_X T, with
+    `at_infinity` set aside in deg_X T."""
     table = SlopeTable.of(U)
     stmt = "root-power-bound"
     why = _tail_lemmas_applicable(table)
     if why:
         return _inapplicable(stmt, why)
-    W = table.canonical
-    deg_total = W.deg_x_tail
+    F = table.field
+    deg_total = table.normal_deg_x_tail
     checks = []
-    for y, data in sorted(W.alg.per_direction.items()):
-        tau, kappa = data.modulus, W.kappa(y)
+    for y in sorted(table.dirs.determined - {table.at_infinity}):
+        data = table.power(y)
+        tau, kappa = data.modulus, table.kappa(y)
         deg_f = p_degree(data.root) if data.root is not None else None
         if deg_f is None:
             raise SoundnessError("constant tail on a slope of a multi-direction set")
-        checks.append(_cmp(f"slope {y}: root-count bound",
+        label = f"slope {format_direction(F, y)}"
+        checks.append(_cmp(f"{label}: root-count bound",
                            Fraction(kappa + tau, tau + 1), "<=", Fraction(tau * deg_f)))
-        checks.append(_cmp(f"slope {y}: power degree identity",
+        checks.append(_cmp(f"{label}: power degree identity",
                            tau * deg_f, "==", data.tail_degree))
-        checks.append(_cmp(f"slope {y}: specialization degree bound",
+        checks.append(_cmp(f"{label}: specialization degree bound",
                            data.tail_degree, "<=", deg_total))
     return Verdict(stmt, True, None, tuple(checks))
 

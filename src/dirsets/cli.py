@@ -289,7 +289,10 @@ def _cmd_hunt(args, out):
 
 def _cmd_complete(args, out):
     U = _load_set(args.set)
-    alpha = Fraction(args.alpha)
+    try:
+        alpha = Fraction(args.alpha)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--alpha {args.alpha!r} is not a fraction") from None
     query = CompletionQuery(U, alpha=alpha, cap=args.cap,
                             enforce=not args.attempt)
     result = complete_set(query)

@@ -9,6 +9,9 @@ The geometric invariant of a point set: for a direction y, the modulus
 of y is the largest power of the characteristic dividing every
 intersection count of slope-y lines with the set; the set-level modulus
 is the minimum over determined directions.
+
+Where the paper first moves the vertical direction into D, the direction
+`LineTable.at_infinity` plays the vertical one; no image is built.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ __all__ = [
     "AffinePointSet", "DirectionSet", "GeometricInvariants", "LineCongruence",
     "LineTable", "direction_of", "directions_of", "line_profile", "direction_modulus",
     "geometric_invariants", "check_line_congruence", "apply_collineation",
-    "canonicalize_infinity", "push_infinity_out", "extension_points", "is_maximal",
-    "format_direction", "parse_direction",
+    "extension_points", "is_maximal", "format_direction", "parse_direction",
 ]
 
 
@@ -68,9 +70,6 @@ class AffinePointSet:
 
     def with_point(self, point) -> "AffinePointSet":
         return AffinePointSet.of(self.field, set(self.points) | {point})
-
-    def without_point(self, point) -> "AffinePointSet":
-        return AffinePointSet(self.field, self.points - {point})
 
     # -- text format: header "p h", then "a b" per line, '#' comments --------
 
@@ -200,10 +199,7 @@ def line_profile(U: AffinePointSet, y: int):
 class LineTable:
     """The line profiles of one point set, each counted on first read, and
     the per-set facts built on them, each kept: directions, geometric
-    invariants, maximality, and the images `canonical` (determining the
-    vertical direction; None when nothing is determined) and `no_infinity`
-    (not determining it).  An image is a table of the same kind, and an
-    image equal to the set is this table.  The functions of this module
+    invariants, maximality and `at_infinity`.  The functions of this module
     accept a table wherever they accept a point set.
     """
 
@@ -214,8 +210,15 @@ class LineTable:
 
     @classmethod
     def of(cls, U):
-        """U itself when it is already a table of this kind, else a new one."""
-        return U if isinstance(U, cls) else cls(U)
+        """U itself when it is already a table of this kind; from another
+        table, a new one that shares its profiles and the facts it kept."""
+        if isinstance(U, cls):
+            return U
+        if not isinstance(U, LineTable):
+            return cls(U)
+        table = cls(U.U)
+        vars(table).update(vars(U))
+        return table
 
     def profile(self, y: int):
         counts = self._profiles.get(y)
@@ -231,18 +234,20 @@ class LineTable:
     def geo(self) -> GeometricInvariants:
         return geometric_invariants(self)
 
-    def _image(self, W: AffinePointSet) -> "LineTable":
-        return self if W is self.U else type(self)(W)
-
     @functools.cached_property
-    def canonical(self):
-        if not self.dirs.determined:
+    def at_infinity(self):
+        """The direction that plays the vertical one where the paper assumes
+        it determined: q when it is, else the least in D; None if D is empty.
+
+        (a, b) -> (b - v a, a) sends v to the vertical direction, that one
+        to slope 0 with the same intercepts, and a slope d != v to slope
+        1/(d - v) with the intercepts scaled by -1/(d - v): every count of
+        that image is one of this table's profiles.
+        """
+        det = self.dirs.determined
+        if not det:
             return None
-        return self._image(canonicalize_infinity(self))
-
-    @functools.cached_property
-    def no_infinity(self):
-        return self._image(push_infinity_out(self))
+        return self.field.q if self.field.q in det else min(det)
 
     @functools.cached_property
     def maximal(self) -> bool:
@@ -359,42 +364,6 @@ def apply_collineation(U: AffinePointSet, matrix, shift=(0, 0)):
         ny = add(mul(m10, wx), mul(m11, wy))
         dmap[d] = F.q if nx == 0 else F.div(ny, nx)
     return AffinePointSet.of(F, pts), dmap
-
-
-def _swap_with_infinity_matrix(F: Field, y0: int):
-    # sends direction y0 to the vertical direction and the vertical one to 0
-    return ((F.neg(y0), 1), (1, 0))
-
-
-def canonicalize_infinity(U) -> AffinePointSet:
-    """A deterministic collineation image whose direction set contains the
-    vertical direction: the determined direction of least code is swapped in.
-    Returns the point set unchanged when the vertical direction is already
-    determined."""
-    lines = LineTable.of(U)
-    dirs = lines.dirs
-    if not dirs.determined:
-        raise ValueError("no determined direction to canonicalize")
-    if dirs.has_infinity:
-        return lines.U
-    y0 = min(dirs.determined)
-    image, _ = apply_collineation(lines.U, _swap_with_infinity_matrix(lines.field, y0))
-    return image
-
-
-def push_infinity_out(U) -> AffinePointSet:
-    """A deterministic collineation image that does not determine the
-    vertical direction: the undetermined direction of least code is swapped
-    to vertical.  Fails when every direction is determined."""
-    lines = LineTable.of(U)
-    dirs = lines.dirs
-    if not dirs.has_infinity:
-        return lines.U
-    if dirs.is_all:
-        raise ValueError("every direction is determined; cannot free the vertical one")
-    z = min(dirs.undetermined())
-    image, _ = apply_collineation(lines.U, _swap_with_infinity_matrix(lines.field, z))
-    return image
 
 
 def extension_points(U):

@@ -18,9 +18,12 @@ single-direction sets).
 Sweeps never build the bivariate system: SlopeTable, the one table per
 set that the statements read, computes the specializations one slope at
 a time.  R(X,y) = prod over c of (X + c)^(m_c) is read off the line
-profile of slope y, m_c points lying on the line of intercept c.
-RedeiSystem serves the `redei` verb and is the reference the tests
-compare the table against.
+profile of slope y, m_c points lying on the line of intercept c, and
+likewise for the vertical direction q (lines X = c).  Scaling a profile's
+intercepts by l gives l^n R(X/l) and the tail l T(X/l), with the same
+exponents; so by `LineTable.at_infinity` the normalised image's t(y),
+degrees and root counts are the set's own.  RedeiSystem serves the
+`redei` verb and is the reference the tests compare the table against.
 """
 
 from __future__ import annotations
@@ -66,9 +69,6 @@ class BivariatePoly:
 
     def deg_x(self) -> int:
         return len(self.coeffs) - 1
-
-    def deg_y(self) -> int:
-        return max((p_degree(c) for c in self.coeffs), default=-1)
 
     def coefficient(self, i: int) -> tuple:
         """Y-polynomial on X^i."""
@@ -279,7 +279,8 @@ def _verify_system(sys: RedeiSystem) -> None:
 
 def specialized_redei(U, y: int) -> tuple:
     """R(X, y) = prod over intercepts c of (X + c)^(m_c), where m_c counts
-    the points of U (a point set or a table) on the line Y = yX + c."""
+    the points of U (a point set or a table) on the line Y = yX + c, or on
+    X = c for the vertical direction y = q."""
     lines = LineTable.of(U)
     add, mul = lines.field.add, lines.field.mul
     r = [1]
@@ -345,17 +346,19 @@ class TailData:
 
 
 class SlopeTable(LineTable):
-    """The line table of one point set plus its Rédei specializations.
+    """The line table of one point set plus its Rédei specializations, at
+    every direction code including the vertical q.
 
-    R(X,y) comes from the profile of slope y.  Tails, their powers and the
-    algebraic invariants (`alg`) are computed on first read and kept; the
-    quotient and root counts, each read once, are not.  The bivariate system
-    specializes slope by slope, R(X,y) Q(X,y) = X^q + T(X,y), so its
+    R(X,y) comes from the profile of direction y.  Tails, their powers and
+    the algebraic invariants (`alg`) are computed on first read and kept;
+    the quotient and root counts, each read once, are not.  The bivariate
+    system specializes slope by slope, R(X,y) Q(X,y) = X^q + T(X,y), so its
     set-level facts are read off the q specialized tails.  On X^i, i >= 1,
     the Y-coefficient of T has degree at most q - i < q, so it vanishes at
     every field value only when it is zero: deg_X T is the largest
     deg T(X,y) (for |U| >= 2, where deg_X T >= 1), and the X-exponents of
-    T from 1 up are the union of those of the T(X,y).  Tails need
+    T from 1 up are the union of those of the T(X,y).  The `normal_`
+    aggregates set `at_infinity` aside instead of q.  Tails need
     1 <= |U| <= q.
     """
 
@@ -365,7 +368,7 @@ class SlopeTable(LineTable):
         self._powers = {}
 
     def tail(self, y: int) -> tuple:
-        """T(X, y) at a field value y."""
+        """T(X, y) at a direction code y."""
         t_y = self._tails.get(y)
         if t_y is None:
             if not 1 <= len(self.U) <= self.field.q:
@@ -375,13 +378,13 @@ class SlopeTable(LineTable):
         return t_y
 
     def power(self, y: int) -> TailData:
-        """t(y), the power root and deg T(X,y) on a determined non-vertical
-        slope, where T(X,y) = -X would contradict the theory."""
+        """t(y), the power root and deg T(X,y) on a determined direction,
+        where T(X,y) = -X would contradict the theory."""
         data = self._powers.get(y)
         if data is None:
             F = self.field
-            if y == F.q or y not in self.dirs.determined:
-                raise ValueError(f"slope {y} is not a determined non-vertical slope")
+            if y not in self.dirs.determined:
+                raise ValueError(f"direction {y} is not determined")
             t_y = self.tail(y)
             if t_y == (0, F.neg(1)):
                 raise SoundnessError("determined slope produced an undetermined tail")
@@ -391,7 +394,7 @@ class SlopeTable(LineTable):
 
     def kappa(self, y: int) -> int:
         """Roots of X^q + T(X,y) in GF(q) with multiplicity; at least |U| on
-        a determined slope."""
+        a determined direction."""
         k = root_count(self.tail(y), self.field)
         if y in self.dirs.determined and k < len(self.U):
             raise SoundnessError("root count below |U| on a determined slope")
@@ -403,6 +406,9 @@ class SlopeTable(LineTable):
         r_y = specialized_redei(self, y)
         return r_y, polys.p_div(F, x_power_minus_x(F), r_y)
 
+    def _largest_tail_degree(self, skip: int) -> int:
+        return max(p_degree(self.tail(y)) for y in range(self.field.q + 1) if y != skip)
+
     @functools.cached_property
     def algebraic_modulus(self) -> int:
         """Least t(y) over the determined non-vertical slopes, q if none."""
@@ -412,7 +418,22 @@ class SlopeTable(LineTable):
     @functools.cached_property
     def deg_x_tail(self) -> int:
         """deg_X T, for |U| >= 2."""
-        return max(p_degree(self.tail(y)) for y in range(self.field.q))
+        return self._largest_tail_degree(self.field.q)
+
+    @functools.cached_property
+    def normal_modulus(self) -> int:
+        """Least t(y) over the determined directions other than
+        `at_infinity`, q if none.  These are all non-vertical, so `alg`
+        holds them, with its s(y) <= t(y) alarms."""
+        v = self.at_infinity
+        return min((data.modulus for y, data in self.alg.per_direction.items()
+                    if y != v), default=self.field.q)
+
+    @functools.cached_property
+    def normal_deg_x_tail(self) -> int:
+        """Largest deg T(X,y) over the directions other than `at_infinity`,
+        for |U| >= 2."""
+        return self._largest_tail_degree(self.at_infinity)
 
     @functools.cached_property
     def alg(self) -> "AlgebraicInvariants":

@@ -242,8 +242,8 @@ def _row_for(table: SlopeTable, outcomes, set_hash: int):
     if table.dirs.determined:
         s = table.geo.modulus
         if len(table.U) <= q:
-            t = table.canonical.alg.modulus
-            deg = table.canonical.deg_x_tail
+            t = table.normal_modulus
+            deg = table.normal_deg_x_tail
     case = ""
     holds = ""
     applicable = [v for _, v in outcomes if v.applicable]
@@ -390,6 +390,10 @@ class CompletionQuery:
     def __post_init__(self):
         if not Fraction(1, 2) < self.alpha < 1:
             raise ValueError("alpha must lie strictly between 1/2 and 1")
+        # below 1 the search stops before its first completion, which would
+        # read as "no completion exists"
+        if self.cap < 1:
+            raise ValueError(f"cap must be at least 1, got {self.cap}")
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,23 @@ def test_verify_exit_codes(capsys):
     assert doc["result"]["applicable"] is False
 
 
+def test_root_power_bound_labels_name_the_sets_own_directions(capsys, tmp_path):
+    # D = {1, 2, 4} over GF(5) without the vertical direction: slope 1
+    # plays the vertical one and the checks run over slopes 2 and 4 (an
+    # image sending slope 1 to the vertical would call them 1 and 2)
+    path = tmp_path / "tri.pts"
+    path.write_text("5 1\n0 0\n1 1\n2 3\n")
+    rc, doc = run_json(capsys, ["directions", "--set", str(path)])
+    assert doc["result"]["directions"] == ["1", "2", "4"]
+    rc, doc = run_json(capsys, ["verify", "--statement", "root-power-bound",
+                                "--set", str(path)])
+    assert rc == 0 and doc["result"]["applicable"]
+    assert [c["label"] for c in doc["result"]["checks"]] == [
+        f"slope {y}: {what}" for y in (2, 4)
+        for what in ("root-count bound", "power degree identity",
+                     "specialization degree bound")]
+
+
 def test_verify_all_statements_on_fixture(capsys):
     for stmt in ("thm-m", "size-q-trichotomy", "prime-dichotomy", "line-congruence", "tail-degree-bound",
                  "root-power-bound", "power-membership", "power-span", "moduli-order", "conj-moduli-match",
@@ -164,6 +181,27 @@ def test_complete_verb(capsys, tmp_path):
     rc, doc = run_json(capsys, ["complete", "--set", str(near), "--attempt"])
     assert rc == 0
     assert [[0, 0], [0, 1], [1, 0], [1, 1]] in doc["result"]["extensions"]
+
+
+def test_complete_refuses_cap_below_one_and_bad_alpha(capsys, tmp_path):
+    # eight points of the diagonal of AG(2,9): one completion, and with a
+    # cap below 1 the search would stop before finding it and raise a
+    # false "no completion exists" alarm
+    diag = tmp_path / "diag.pts"
+    diag.write_text("3 2\n" + "".join(f"{x} {x}\n" for x in range(8)))
+    rc, doc = run_json(capsys, ["complete", "--set", str(diag), "--cap", "100"])
+    assert rc == 0
+    assert len(doc["result"]["extensions"]) == 1 and not doc["result"]["alarm"]
+    for cap in ("0", "-1"):
+        rc = main(["complete", "--set", str(diag), "--cap", cap])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert f"error: cap must be at least 1, got {cap}" in captured.err
+    for alpha in ("1/0", "abc"):
+        rc = main(["complete", "--set", str(diag), "--alpha", alpha])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert f"error: --alpha '{alpha}' is not a fraction" in captured.err
 
 
 def test_realize_verb(capsys, tmp_path):

@@ -6,11 +6,10 @@ from hypothesis import given, strategies as st
 
 from dirsets.field import make_field
 from dirsets.geometry import (AffinePointSet, apply_collineation,
-                              canonicalize_infinity, check_line_congruence,
-                              direction_modulus, direction_of, directions_of,
-                              extension_points, format_direction,
-                              geometric_invariants, is_maximal, line_profile,
-                              parse_direction, push_infinity_out)
+                              check_line_congruence, direction_modulus,
+                              direction_of, directions_of, extension_points,
+                              format_direction, geometric_invariants,
+                              is_maximal, line_profile, parse_direction)
 from conftest import random_point_set
 
 
@@ -141,29 +140,6 @@ def test_collineation_preserves_direction_count(gf5):
         assert len(image) == len(U)
         dirs = directions_of(U).determined
         assert directions_of(image).determined == frozenset(dmap[d] for d in dirs)
-
-
-def test_canonicalize_infinity(gf5, unit_square):
-    horizontal = pts(gf5, [(0, 0), (1, 0), (2, 0)])
-    assert not directions_of(horizontal).has_infinity
-    image = canonicalize_infinity(horizontal)
-    assert directions_of(image).has_infinity
-    assert canonicalize_infinity(unit_square) is unit_square
-    with pytest.raises(ValueError):
-        canonicalize_infinity(pts(gf5, [(0, 0)]))
-
-
-def test_push_infinity_out(gf5, unit_square):
-    image = push_infinity_out(unit_square)
-    assert not directions_of(image).has_infinity
-    assert len(directions_of(image)) == 3
-    vertical = pts(gf5, [(0, 0), (0, 1), (0, 2)])
-    out = push_infinity_out(vertical)
-    assert not directions_of(out).has_infinity
-    full = pts(make_field(2, 1), [(0, 0), (1, 0), (0, 1), (1, 1)])
-    assert directions_of(full).is_all
-    with pytest.raises(ValueError):
-        push_infinity_out(full)
 
 
 def test_adding_points_never_shrinks_directions(gf4):

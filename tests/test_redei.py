@@ -1,11 +1,15 @@
 import itertools
 import random
+from dataclasses import astuple
 
 import pytest
 
 from dirsets.field import make_field
-from dirsets.geometry import (AffinePointSet, direction_modulus, directions_of,
+from dirsets.analysis import verify_statement
+from dirsets.geometry import (AffinePointSet, LineTable, apply_collineation,
+                              direction_modulus, directions_of, format_direction,
                               geometric_invariants)
+from dirsets.linsets import plane_set, subfield_subspaces
 from dirsets import polys as P
 from dirsets.redei import (BivariatePoly, SlopeTable, algebraic_invariants,
                            check_power_span, check_specialized_membership,
@@ -323,3 +327,112 @@ def test_slope_table_matches_bivariate_system(q):
             assert check_power_span(table, m) == (not bad, bad)
         checked += 1
     assert checked == {2: 10, 3: 129, 4: 2516}.get(q, 150)
+
+
+def _normal_form_sets(q):
+    """The differential sets of at least two points, and subfield-linear
+    sets: at q = 8 every fourth GF(2)-subspace of ranks 2 and 3, at q = 9
+    every GF(3)-subspace of ranks 1 and 2."""
+    yield from (U for U in _differential_sets(q) if len(U) >= 2)
+    if q in (8, 9):
+        F = make_field(*{8: (2, 3), 9: (3, 2)}[q])
+        spaces = subfield_subspaces(F, F.p, (2, 3) if q == 8 else (1, 2))
+        for _, span in itertools.islice(spaces, 0, None, 4 if q == 8 else 1):
+            yield plane_set(F, span)
+
+
+def _swap_image(U, v):
+    """The image under (a, b) -> (b - v a, a), which sends slope v to the
+    vertical direction and the vertical direction to slope 0, as a table,
+    and its direction map."""
+    F = U.field
+    W, dmap = apply_collineation(U, ((F.neg(v), 1), (1, 0)))
+    return SlopeTable(W), dmap
+
+
+def _scaled(F, tail, lam):
+    """lam * T(X / lam), coefficient by coefficient."""
+    inv = F.inv(lam)
+    return P.p_trim([F.mul(c, F.pow(inv, i - 1) if i else lam)
+                     for i, c in enumerate(tail)])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_normal_form_read_off_the_set_matches_the_image(q):
+    # the statements read t, deg_X T and the per-direction tail facts of
+    # the image with at_infinity vertical off the set's own table; the
+    # image built for real is the reference
+    checked = 0
+    for U in _normal_form_sets(q):
+        F = U.field
+        table = SlopeTable(U)
+        # the reference image determines the vertical direction: the set
+        # itself when it does, else the image sending min D there
+        det = directions_of(U).determined
+        v = q if q in det else min(det)
+        if v == q:
+            W, dmap = SlopeTable(U), {d: d for d in range(q + 1)}
+        else:
+            W, dmap = _swap_image(U, v)
+        assert table.at_infinity == v and W.dirs.has_infinity
+        assert W.dirs.determined == {dmap[d] for d in table.dirs}
+        assert table.normal_modulus == W.algebraic_modulus == W.alg.modulus
+        assert table.normal_deg_x_tail == W.deg_x_tail
+        # per direction, against a proper image; slope 0 stands in for the
+        # vertical direction when the set determines it, so its tail (read
+        # off the lines X = c) meets the image's slope 0
+        u = v if v < q else 0
+        V, umap = (W, dmap) if v < q else _swap_image(U, 0)
+        for d in range(q + 1):
+            if d == u:
+                continue
+            e = umap[d]
+            assert e < q
+            lam = 1 if d == q else F.neg(F.inv(F.sub(d, u)))
+            assert V.tail(e) == _scaled(F, table.tail(d), lam)
+            assert table.kappa(d) == V.kappa(e)
+            if d in table.dirs.determined:
+                mine, image = table.power(d), V.power(e)
+                assert (mine.modulus, mine.tail_degree) == (image.modulus,
+                                                            image.tail_degree)
+                # a constant tail has no root
+                assert P.p_degree(mine.root or ()) == P.p_degree(image.root or ())
+        for stmt in ("thm-m", "tail-degree-bound"):
+            assert (verify_statement(stmt, table).as_dict()
+                    == verify_statement(stmt, W).as_dict())
+        # root-power-bound: the same checks, labelled by the set's own
+        # directions instead of the image's slopes
+        names = {f"slope {e}": f"slope {format_direction(F, d)}"
+                 for d, e in dmap.items() if e < q}
+        image_checks = []
+        for c in verify_statement("root-power-bound", W).checks:
+            slope, rest = c.label.split(":", 1)
+            image_checks.append((names[slope] + ":" + rest, c.lhs, c.rel, c.rhs, c.holds))
+        own = verify_statement("root-power-bound", table).checks
+        assert sorted(astuple(c) for c in own) == sorted(image_checks)
+        checked += 1
+    # seeded sets of two points or more, then 2046 / 4 subspaces of GF(2)^6
+    # and 40 + 130 of GF(3)^4
+    assert checked == {2: 6, 3: 120, 4: 2500, 5: 112, 7: 126, 8: 133 + 512,
+                       9: 133 + 170}[q]
+
+
+def test_slope_table_of_a_plain_line_table(gf4, monkeypatch):
+    from dirsets import geometry
+    U = pts(gf4, [(0, 0), (1, 0), (0, 1)])
+    expected = (algebraic_invariants(U), check_power_span(U, 2),
+                check_specialized_membership(U))
+    lines = LineTable(U)
+    for y in range(gf4.q + 1):
+        lines.profile(y)
+    dirs = lines.dirs
+    monkeypatch.setattr(geometry, "line_profile",
+                        lambda *a: pytest.fail("profile counted twice"))
+    monkeypatch.setattr(geometry, "directions_of",
+                        lambda *a: pytest.fail("directions computed twice"))
+    table = SlopeTable.of(lines)
+    assert isinstance(table, SlopeTable) and table.U is U
+    assert table._profiles is lines._profiles and table.dirs is dirs
+    assert SlopeTable.of(table) is table and LineTable.of(table) is table
+    assert (algebraic_invariants(lines), check_power_span(lines, 2),
+            check_specialized_membership(lines)) == expected

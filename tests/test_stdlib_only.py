@@ -1,0 +1,25 @@
+"""The package runs on the standard library alone."""
+
+import ast
+import pathlib
+import sys
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "dirsets"
+
+
+def _absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_every_absolute_import_is_in_the_standard_library():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    outside = {(path.name, name) for path in sources
+               for name in _absolute_imports(path)
+               if name not in sys.stdlib_module_names}
+    assert not outside
