@@ -11,8 +11,7 @@ Statement catalog (ids are stable interface tokens):
 
   thm-m                trichotomy bounding the direction count through
                        the geometric and algebraic moduli, for sets
-                       determining the vertical direction and missing at
-                       least one other direction
+                       missing at least one direction
   size-q-trichotomy    trichotomy for sets of exactly q points not
                        determining the vertical direction
   prime-dichotomy      prime order: collinear, or at least (|U|+3)/2
@@ -128,9 +127,10 @@ def _inapplicable(stmt: str, why: str) -> Verdict:
 
 def classify_direction_trichotomy(U) -> Verdict:
     """Cases: (1) geometric modulus 1, (2) both moduli proper, (3) algebraic
-    modulus q with a single (vertical) determined direction.  `at_infinity`
-    plays the vertical direction: t is taken over the other determined
-    directions; s, |D| and the counting facts are read off the set."""
+    modulus q with a single determined direction.  The paper assumes the
+    vertical direction determined; s, t, |D| and the counting facts are
+    affine invariants (see SlopeTable), so they are read off the set as it
+    is."""
     table = SlopeTable.of(U)
     stmt = "thm-m"
     if len(table.U) < 2 or not table.dirs.determined:
@@ -142,16 +142,13 @@ def classify_direction_trichotomy(U) -> Verdict:
     if n > q:
         raise SoundnessError("more than q points but not all directions determined")
     s = table.geo.modulus
-    t = table.normal_modulus
+    t = table.alg.modulus
     D = len(table.dirs)
     notes = ["algebraic modulus taken over non-vertical determined slopes"]
     checks = [_cmp("geometric <= algebraic modulus", s, "<=", t)]
     if t == q:
         case = 3
         checks.append(_cmp("single determined direction", D, "==", 1))
-        checks.append(Check("vertical direction is the one determined",
-                            "inf", "==", "inf",
-                            table.dirs.determined == {table.at_infinity}))
     else:
         lower = Fraction(n - 1, t + 1) + 2
         checks.append(_cmp("lower bound", lower, "<=", Fraction(D)))
@@ -311,38 +308,39 @@ def _tail_lemmas_applicable(table: SlopeTable):
     if table.dirs.is_all:
         return "every direction is determined"
     if len(table.dirs) < 2:
-        return "needs a determined non-vertical slope"
+        return "needs two determined directions"
     return None
 
 
 def tail_degree_bound(U) -> Verdict:
-    """With the vertical direction determined and some direction free, the
-    direction count exceeds the X-degree of the division tail."""
+    """With two directions determined or more and some direction free, the
+    direction count exceeds the X-degree of the division tail.  The paper
+    takes one of D to be vertical; deg_X T is an affine invariant (see
+    SlopeTable), so the set is read as it is."""
     table = SlopeTable.of(U)
     stmt = "tail-degree-bound"
     why = _tail_lemmas_applicable(table)
     if why:
         return _inapplicable(stmt, why)
-    deg = table.normal_deg_x_tail
+    deg = table.deg_x_tail
     checks = (_cmp("direction count exceeds tail degree",
                    len(table.dirs), ">=", deg + 1),)
     return Verdict(stmt, True, None, checks)
 
 
 def root_power_bound(U) -> Verdict:
-    """Per determined direction y other than `at_infinity`, in code order:
-    with k the root count of X^q + T(X,y) and tau its tail modulus,
-    (k + tau)/(tau + 1) <= tau deg f = deg_X T(X,y) <= deg_X T, with
-    `at_infinity` set aside in deg_X T."""
+    """Per determined non-vertical slope y, in code order: with k the root
+    count of X^q + T(X,y) and tau its tail modulus,
+    (k + tau)/(tau + 1) <= tau deg f = deg_X T(X,y) <= deg_X T."""
     table = SlopeTable.of(U)
     stmt = "root-power-bound"
     why = _tail_lemmas_applicable(table)
     if why:
         return _inapplicable(stmt, why)
     F = table.field
-    deg_total = table.normal_deg_x_tail
+    deg_total = table.deg_x_tail
     checks = []
-    for y in sorted(table.dirs.determined - {table.at_infinity}):
+    for y in table.dirs.affine():
         data = table.power(y)
         tau, kappa = data.modulus, table.kappa(y)
         deg_f = p_degree(data.root) if data.root is not None else None

@@ -269,9 +269,6 @@ class Field:
             return 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
-    def frobenius(self, a: int, times: int = 1) -> int:
-        return self.pow(a, self.p ** times)
-
     # -- codec ---------------------------------------------------------------
 
     def coeffs(self, a: int):
@@ -388,19 +385,14 @@ def _modulus_root(field: Field, small: Field) -> int:
 
 def subfield_elements(field: Field, s: int):
     """Sorted parent codes of the order-s subfield (fixed field of x -> x^s)."""
-    orders = {p for p in _subfield_orders(field)}
-    if s not in orders:
+    if s not in subfield_orders(field):
         raise ValueError(f"{s} is not a subfield order of GF({field})")
     return tuple(a for a in range(field.q) if field.pow(a, s) == a)
 
 
-def _subfield_orders(field: Field):
-    return tuple(field.p ** e for e in range(1, field.h + 1) if field.h % e == 0)
-
-
 def subfield_orders(field: Field):
     """All subfield orders p^e with e | h, ascending."""
-    return _subfield_orders(field)
+    return tuple(field.p ** e for e in range(1, field.h + 1) if field.h % e == 0)
 
 
 def prime_power_parts(q: int):

@@ -9,9 +9,6 @@ The geometric invariant of a point set: for a direction y, the modulus
 of y is the largest power of the characteristic dividing every
 intersection count of slope-y lines with the set; the set-level modulus
 is the minimum over determined directions.
-
-Where the paper first moves the vertical direction into D, the direction
-`LineTable.at_infinity` plays the vertical one; no image is built.
 """
 
 from __future__ import annotations
@@ -137,10 +134,6 @@ class DirectionSet:
     def affine(self):
         return tuple(d for d in sorted(self.determined) if d < self.field.q)
 
-    def undetermined(self):
-        q = self.field.q
-        return tuple(d for d in range(q + 1) if d not in self.determined)
-
     def tokens(self):
         return tuple(format_direction(self.field, d) for d in sorted(self.determined))
 
@@ -199,8 +192,8 @@ def line_profile(U: AffinePointSet, y: int):
 class LineTable:
     """The line profiles of one point set, each counted on first read, and
     the per-set facts built on them, each kept: directions, geometric
-    invariants, maximality and `at_infinity`.  The functions of this module
-    accept a table wherever they accept a point set.
+    invariants and maximality.  The functions of this module accept a
+    table wherever they accept a point set.
     """
 
     def __init__(self, U: AffinePointSet):
@@ -233,21 +226,6 @@ class LineTable:
     @functools.cached_property
     def geo(self) -> GeometricInvariants:
         return geometric_invariants(self)
-
-    @functools.cached_property
-    def at_infinity(self):
-        """The direction that plays the vertical one where the paper assumes
-        it determined: q when it is, else the least in D; None if D is empty.
-
-        (a, b) -> (b - v a, a) sends v to the vertical direction, that one
-        to slope 0 with the same intercepts, and a slope d != v to slope
-        1/(d - v) with the intercepts scaled by -1/(d - v): every count of
-        that image is one of this table's profiles.
-        """
-        det = self.dirs.determined
-        if not det:
-            return None
-        return self.field.q if self.field.q in det else min(det)
 
     @functools.cached_property
     def maximal(self) -> bool:

@@ -194,9 +194,6 @@ class WeightedProjectiveSet:
     def total_weight(self) -> int:
         return sum(self.weights.values())
 
-    def multiple_points(self):
-        return tuple(sorted(p for p, w in self.weights.items() if w > 1))
-
 
 def project_subgeometry(spec: ProjectiveLinearSpec) -> WeightedProjectiveSet:
     """Image of the canonical PG(d,s) with multiplicities.

@@ -114,15 +114,6 @@ def p_gcd(F: Field, a, b) -> tuple:
     return p_monic(F, a)
 
 
-def p_deriv(F: Field, a) -> tuple:
-    # the integer index i acts as the field constant i mod p
-    p = F.p
-    out = []
-    for i in range(1, len(a)):
-        out.append(F.mul(i % p, a[i]))
-    return p_trim(out)
-
-
 def p_monomial(deg: int, c: int = 1) -> tuple:
     if c == 0:
         return ()

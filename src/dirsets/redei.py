@@ -19,11 +19,10 @@ Sweeps never build the bivariate system: SlopeTable, the one table per
 set that the statements read, computes the specializations one slope at
 a time.  R(X,y) = prod over c of (X + c)^(m_c) is read off the line
 profile of slope y, m_c points lying on the line of intercept c, and
-likewise for the vertical direction q (lines X = c).  Scaling a profile's
-intercepts by l gives l^n R(X/l) and the tail l T(X/l), with the same
-exponents; so by `LineTable.at_infinity` the normalised image's t(y),
-degrees and root counts are the set's own.  RedeiSystem serves the
-`redei` verb and is the reference the tests compare the table against.
+likewise for the vertical direction q (lines X = c).  t and deg_X T are
+affine invariants (see SlopeTable), so no direction is moved to the
+vertical one first.  RedeiSystem serves the `redei` verb and is the
+reference the tests compare the table against.
 """
 
 from __future__ import annotations
@@ -196,12 +195,6 @@ class RedeiSystem:
             raise ValueError(f"sigma* index {k} outside [0, {d}]")
         return self.quotient.coefficient(d - k)
 
-    def tail_coeff(self, j: int) -> tuple:
-        """Y-coefficient on X^(q-j) of the tail, zero for 1 <= j <= q - n."""
-        if not 1 <= j <= self.field.q:
-            raise ValueError(f"tail index {j} outside [1, {self.field.q}]")
-        return self.tail.coefficient(self.field.q - j)
-
     def deg_x_tail(self) -> int:
         return self.tail.deg_x()
 
@@ -357,9 +350,26 @@ class SlopeTable(LineTable):
     the Y-coefficient of T has degree at most q - i < q, so it vanishes at
     every field value only when it is zero: deg_X T is the largest
     deg T(X,y) (for |U| >= 2, where deg_X T >= 1), and the X-exponents of
-    T from 1 up are the union of those of the T(X,y).  The `normal_`
-    aggregates set `at_infinity` aside instead of q.  Tails need
+    T from 1 up are the union of those of the T(X,y).  Tails need
     1 <= |U| <= q.
+
+    The paper first moves a determined direction to the vertical one.
+    That is not needed: the least t(y) over D and the largest deg T(X,y)
+    over all q + 1 directions are each reached at two directions or more,
+    so setting any one direction aside changes neither, and both are
+    affine invariants.  A collineation keeps each direction's t(y) and
+    deg T(X,y), so a direction may be taken to be a slope.  Let
+    2 <= |U| <= q, |D| >= 2 and T = sum of c_i(Y) X^i, deg c_i <= q - i.
+    (a) Were a slope v alone in reaching the least t(v) = tau, take an
+    exponent i of T(X,v) with p tau not dividing i.  At every other slope
+    y, c_i(y) = 0 for i >= 2: t(y) >= p tau divides the exponents of
+    T(X,y) on D, and T(X,y) = -X off D.  Then c_i has q - 1 > q - i roots
+    and is zero, so i = 1, tau = 1 and T(X,v) = aX + g(X^p) with a != 0.
+    But R(X,v) has a double root r, at which the X-derivative of
+    R(X,v) Q(X,v) = X^q + T(X,v), the constant a, vanishes.  (b) Were v alone in reaching degree d >= 2,
+    c_d would vanish at the q - 1 other slopes, so c_d = 0.  For d <= 1
+    every tail has degree 1, since a constant tail forces |D| = 1.  With
+    |D| = 1 the least t is q and the other tails are -X either way.
     """
 
     def __init__(self, U: AffinePointSet):
@@ -406,9 +416,6 @@ class SlopeTable(LineTable):
         r_y = specialized_redei(self, y)
         return r_y, polys.p_div(F, x_power_minus_x(F), r_y)
 
-    def _largest_tail_degree(self, skip: int) -> int:
-        return max(p_degree(self.tail(y)) for y in range(self.field.q + 1) if y != skip)
-
     @functools.cached_property
     def algebraic_modulus(self) -> int:
         """Least t(y) over the determined non-vertical slopes, q if none."""
@@ -417,23 +424,8 @@ class SlopeTable(LineTable):
 
     @functools.cached_property
     def deg_x_tail(self) -> int:
-        """deg_X T, for |U| >= 2."""
-        return self._largest_tail_degree(self.field.q)
-
-    @functools.cached_property
-    def normal_modulus(self) -> int:
-        """Least t(y) over the determined directions other than
-        `at_infinity`, q if none.  These are all non-vertical, so `alg`
-        holds them, with its s(y) <= t(y) alarms."""
-        v = self.at_infinity
-        return min((data.modulus for y, data in self.alg.per_direction.items()
-                    if y != v), default=self.field.q)
-
-    @functools.cached_property
-    def normal_deg_x_tail(self) -> int:
-        """Largest deg T(X,y) over the directions other than `at_infinity`,
-        for |U| >= 2."""
-        return self._largest_tail_degree(self.at_infinity)
+        """deg_X T, the largest deg T(X,y) over the slopes, for |U| >= 2."""
+        return max(p_degree(self.tail(y)) for y in range(self.field.q))
 
     @functools.cached_property
     def alg(self) -> "AlgebraicInvariants":

@@ -242,8 +242,8 @@ def _row_for(table: SlopeTable, outcomes, set_hash: int):
     if table.dirs.determined:
         s = table.geo.modulus
         if len(table.U) <= q:
-            t = table.normal_modulus
-            deg = table.normal_deg_x_tail
+            t = table.alg.modulus
+            deg = table.deg_x_tail
     case = ""
     holds = ""
     applicable = [v for _, v in outcomes if v.applicable]
@@ -401,10 +401,6 @@ class CompletionResult:
     extensions: tuple           # tuples of sorted points, each of size q
     hypotheses_hold: bool
     alarm: bool                 # hypotheses hold yet nothing was found
-
-    @property
-    def completable(self) -> bool:
-        return bool(self.extensions)
 
 
 def complete_set(query: CompletionQuery) -> CompletionResult:

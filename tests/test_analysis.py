@@ -159,8 +159,10 @@ def test_line_congruence_verdict(unit_square, collinear3_gf5):
 def test_tail_degree_bound_verdict(unit_square, gf4):
     v = tail_degree_bound(unit_square)
     assert v.holds and v.checks[0].lhs == 3 and v.checks[0].rhs == 3
-    vertical_pair = pts(gf4, [(0, 0), (0, 1)])
-    assert not tail_degree_bound(vertical_pair).applicable
+    # one determined direction, vertical or not, is too few
+    for pair in ([(0, 0), (0, 1)], [(0, 0), (1, 1)]):
+        v = tail_degree_bound(pts(gf4, pair))
+        assert not v.applicable and v.notes == ("needs two determined directions",)
 
 
 def test_root_power_bound_verdict(unit_square):

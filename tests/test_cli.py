@@ -71,9 +71,8 @@ def test_verify_exit_codes(capsys):
 
 
 def test_root_power_bound_labels_name_the_sets_own_directions(capsys, tmp_path):
-    # D = {1, 2, 4} over GF(5) without the vertical direction: slope 1
-    # plays the vertical one and the checks run over slopes 2 and 4 (an
-    # image sending slope 1 to the vertical would call them 1 and 2)
+    # D = {1, 2, 4} over GF(5) without the vertical direction: the checks
+    # run over every determined slope, named by the set's own codes
     path = tmp_path / "tri.pts"
     path.write_text("5 1\n0 0\n1 1\n2 3\n")
     rc, doc = run_json(capsys, ["directions", "--set", str(path)])
@@ -82,7 +81,7 @@ def test_root_power_bound_labels_name_the_sets_own_directions(capsys, tmp_path):
                                 "--set", str(path)])
     assert rc == 0 and doc["result"]["applicable"]
     assert [c["label"] for c in doc["result"]["checks"]] == [
-        f"slope {y}: {what}" for y in (2, 4)
+        f"slope {y}: {what}" for y in (1, 2, 4)
         for what in ("root-count bound", "power degree identity",
                      "specialization degree bound")]
 
@@ -235,17 +234,29 @@ def test_usage_errors(capsys):
     assert main(["--version"]) == 0
 
 
-def test_module_entry_point():
+def _run_python(args):
+    """A fresh interpreter with the package's source on PYTHONPATH."""
     import subprocess
     import sys
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "dirsets", "directions", "--set", E1],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def test_module_entry_point():
+    proc = _run_python(["-m", "dirsets", "directions", "--set", E1])
     assert proc.returncode == 0
     assert "D = {0, 1, inf}" in proc.stdout
+
+
+def test_congruence_sweep_script():
+    script = os.path.join(os.path.dirname(SRC), "scripts", "congruence_sweep.py")
+    proc = _run_python([script, "--q", "4", "--s", "2", "--max-rank", "3"])
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "cc9f9b71c7e11889cb9cbe4b6b9dec0bdd3e02718745d45b8eea0e7ae2d5598a")
 
 
 def test_soundness_alarm_exit_code(capsys, monkeypatch):

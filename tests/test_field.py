@@ -124,8 +124,8 @@ def test_frobenius_is_field_automorphism(p, h):
     F = make_field(p, h)
     for a in range(F.q):
         for b in range(F.q):
-            assert F.frobenius(F.add(a, b)) == F.add(F.frobenius(a), F.frobenius(b))
-            assert F.frobenius(F.mul(a, b)) == F.mul(F.frobenius(a), F.frobenius(b))
+            assert F.pow(F.add(a, b), F.p) == F.add(F.pow(a, F.p), F.pow(b, F.p))
+            assert F.pow(F.mul(a, b), F.p) == F.mul(F.pow(a, F.p), F.pow(b, F.p))
 
 
 def test_frobenius_fixed_field_sizes():

@@ -86,7 +86,7 @@ def test_closure_unit_square(gf4):
     rep = closure_witness(spec)
     assert rep.passed and rep.rank == 2
     assert rep.image.total_weight == 7
-    assert not rep.image.multiple_points()
+    assert all(w == 1 for w in rep.image.weights.values())
 
 
 def test_closure_with_translate_and_dependent_generators(gf4):
@@ -101,7 +101,7 @@ def test_closure_rank3_multiples_at_infinity(gf4):
     rep = closure_witness(spec)
     assert rep.passed
     assert rep.image.total_weight == 15
-    multiples = rep.image.multiple_points()
+    multiples = [p for p, w in rep.image.weights.items() if w > 1]
     assert multiples and all(p[0] == 0 for p in multiples)
 
 

@@ -41,14 +41,6 @@ def test_gcd_basics():
     assert P.p_gcd(F, a, ()) == P.p_monic(F, a)
 
 
-def test_derivative_char_collapse():
-    F = make_field(2, 2)
-    # d/dX (X^2 + X) = 1 in characteristic 2
-    assert P.p_deriv(F, (0, 1, 1)) == (1,)
-    F5 = make_field(5, 1)
-    assert P.p_deriv(F5, (0, 0, 0, 0, 0, 1)) == ()  # X^5 has zero derivative
-
-
 def test_frobenius_power_and_root():
     F = make_field(2, 2)
     f = (1, 2)  # w X + 1 is not in GF(4)[X^2]

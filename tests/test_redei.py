@@ -331,14 +331,17 @@ def test_slope_table_matches_bivariate_system(q):
 
 def _normal_form_sets(q):
     """The differential sets of at least two points, and subfield-linear
-    sets: at q = 8 every fourth GF(2)-subspace of ranks 2 and 3, at q = 9
-    every GF(3)-subspace of ranks 1 and 2."""
+    sets, each also with its last point removed: at q = 8 every fourth
+    GF(2)-subspace of ranks 2 and 3, at q = 9 every GF(3)-subspace of
+    ranks 1 and 2."""
     yield from (U for U in _differential_sets(q) if len(U) >= 2)
     if q in (8, 9):
         F = make_field(*{8: (2, 3), 9: (3, 2)}[q])
         spaces = subfield_subspaces(F, F.p, (2, 3) if q == 8 else (1, 2))
         for _, span in itertools.islice(spaces, 0, None, 4 if q == 8 else 1):
-            yield plane_set(F, span)
+            U = plane_set(F, span)
+            yield U
+            yield pts(F, sorted(U.points)[:-1])
 
 
 def _swap_image(U, v):
@@ -359,25 +362,34 @@ def _scaled(F, tail, lam):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_normal_form_read_off_the_set_matches_the_image(q):
-    # the statements read t, deg_X T and the per-direction tail facts of
-    # the image with at_infinity vertical off the set's own table; the
-    # image built for real is the reference
+    # the statements read t, deg_X T and the per-direction tail facts off
+    # the set's own table; the image that moves a determined direction to
+    # the vertical one, as the paper does first, is the reference
     checked = 0
     for U in _normal_form_sets(q):
         F = U.field
         table = SlopeTable(U)
+        det = table.dirs.determined
+        # t and deg_X T are reached at two directions or more, so setting
+        # any one aside, here the vertical direction, changes neither
+        if len(det) >= 2:
+            moduli = [table.power(y).modulus for y in sorted(det)]
+            degrees = [P.p_degree(table.tail(y)) for y in range(q + 1)]
+            assert moduli.count(min(moduli)) >= 2
+            assert degrees.count(max(degrees)) >= 2
+            assert table.alg.modulus == min(moduli)
+            assert table.deg_x_tail == max(degrees)
         # the reference image determines the vertical direction: the set
         # itself when it does, else the image sending min D there
-        det = directions_of(U).determined
         v = q if q in det else min(det)
         if v == q:
             W, dmap = SlopeTable(U), {d: d for d in range(q + 1)}
         else:
             W, dmap = _swap_image(U, v)
-        assert table.at_infinity == v and W.dirs.has_infinity
-        assert W.dirs.determined == {dmap[d] for d in table.dirs}
-        assert table.normal_modulus == W.algebraic_modulus == W.alg.modulus
-        assert table.normal_deg_x_tail == W.deg_x_tail
+        assert W.dirs.has_infinity
+        assert W.dirs.determined == {dmap[d] for d in det}
+        assert table.alg.modulus == W.alg.modulus
+        assert table.deg_x_tail == W.deg_x_tail
         # per direction, against a proper image; slope 0 stands in for the
         # vertical direction when the set determines it, so its tail (read
         # off the lines X = c) meets the image's slope 0
@@ -391,7 +403,7 @@ def test_normal_form_read_off_the_set_matches_the_image(q):
             lam = 1 if d == q else F.neg(F.inv(F.sub(d, u)))
             assert V.tail(e) == _scaled(F, table.tail(d), lam)
             assert table.kappa(d) == V.kappa(e)
-            if d in table.dirs.determined:
+            if d in det:
                 mine, image = table.power(d), V.power(e)
                 assert (mine.modulus, mine.tail_degree) == (image.modulus,
                                                             image.tail_degree)
@@ -400,21 +412,25 @@ def test_normal_form_read_off_the_set_matches_the_image(q):
         for stmt in ("thm-m", "tail-degree-bound"):
             assert (verify_statement(stmt, table).as_dict()
                     == verify_statement(stmt, W).as_dict())
-        # root-power-bound: the same checks, labelled by the set's own
-        # directions instead of the image's slopes
+        # root-power-bound: the image's checks, labelled by the set's own
+        # directions instead of the image's slopes, plus those at v
         names = {f"slope {e}": f"slope {format_direction(F, d)}"
                  for d, e in dmap.items() if e < q}
         image_checks = []
         for c in verify_statement("root-power-bound", W).checks:
             slope, rest = c.label.split(":", 1)
             image_checks.append((names[slope] + ":" + rest, c.lhs, c.rel, c.rhs, c.holds))
-        own = verify_statement("root-power-bound", table).checks
-        assert sorted(astuple(c) for c in own) == sorted(image_checks)
+        verdict = verify_statement("root-power-bound", table)
+        own = [astuple(c) for c in verdict.checks]
+        at_v = [c for c in own if c[0].startswith(f"slope {v}:")]
+        assert len(at_v) == (3 if verdict.applicable and v < q else 0)
+        assert sorted(c for c in own if c not in at_v) == sorted(image_checks)
+        assert all(c[-1] for c in own)
         checked += 1
     # seeded sets of two points or more, then 2046 / 4 subspaces of GF(2)^6
-    # and 40 + 130 of GF(3)^4
-    assert checked == {2: 6, 3: 120, 4: 2500, 5: 112, 7: 126, 8: 133 + 512,
-                       9: 133 + 170}[q]
+    # and 40 + 130 of GF(3)^4, each whole and with one point removed
+    assert checked == {2: 6, 3: 120, 4: 2500, 5: 112, 7: 126, 8: 133 + 2 * 512,
+                       9: 133 + 2 * 170}[q]
 
 
 def test_slope_table_of_a_plain_line_table(gf4, monkeypatch):

@@ -266,7 +266,7 @@ def test_complete_hypothesis_gate(gf9):
     line = [(x, x) for x in range(9)]
     U = pts(gf9, line[:-1])
     res = complete_set(CompletionQuery(U))
-    assert res.hypotheses_hold and res.completable and not res.alarm
+    assert res.hypotheses_hold and res.extensions and not res.alarm
     # far from the hypotheses: enforcement refuses to search
     sparse = pts(gf9, [(0, 0), (1, 0), (0, 1)])
     gated = complete_set(CompletionQuery(sparse))

@@ -1,6 +1,7 @@
 """The package runs on the standard library alone."""
 
 import ast
+import importlib
 import pathlib
 import sys
 
@@ -23,3 +24,16 @@ def test_every_absolute_import_is_in_the_standard_library():
                for name in _absolute_imports(path)
                if name not in sys.stdlib_module_names}
     assert not outside
+
+
+def test_every_exported_name_exists():
+    # __all__ is read by star imports, which no test makes, so a name
+    # left there after its definition goes would fail nowhere else
+    names = ["dirsets" if path.stem == "__init__" else f"dirsets.{path.stem}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__main__"]
+    modules = [importlib.import_module(name) for name in names]
+    exported = [(module.__name__, name) for module in modules
+                for name in getattr(module, "__all__", ())]
+    assert len(exported) > 40
+    assert not [(mod, name) for mod, name in exported
+                if not hasattr(sys.modules[mod], name)]
