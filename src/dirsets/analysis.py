@@ -144,7 +144,6 @@ def classify_direction_trichotomy(U) -> Verdict:
     s = table.geo.modulus
     t = table.alg.modulus
     D = len(table.dirs)
-    notes = ["algebraic modulus taken over non-vertical determined slopes"]
     checks = [_cmp("geometric <= algebraic modulus", s, "<=", t)]
     if t == q:
         case = 3
@@ -159,7 +158,7 @@ def classify_direction_trichotomy(U) -> Verdict:
             case = 2
             checks.append(_cmp("upper bound", Fraction(D), "<=", Fraction(n - 1, s - 1)))
             checks.extend(_counting_cross_check(table, s))
-    return Verdict(stmt, True, case, tuple(checks), tuple(notes))
+    return Verdict(stmt, True, case, tuple(checks))
 
 
 def _counting_cross_check(table: SlopeTable, s: int):
@@ -396,11 +395,8 @@ def power_span_verdict(U) -> Verdict:
         return _inapplicable(stmt, "no determined direction")
     if n > table.field.q:
         return _inapplicable(stmt, "tail system needs at most q points")
-    alg = table.alg
-    ok, bad = check_power_span(table, alg.modulus)
+    ok, bad = check_power_span(table, table.alg.modulus)
     notes = (f"offending exponents: {list(bad)}",) if bad else ()
-    if alg.infinity_determined:
-        notes += ("algebraic modulus taken over non-vertical determined slopes",)
     return Verdict(stmt, True, None,
                    (Check("X-exponents lie in {0,1} or the modulus lattice",
                           len(bad), "==", 0, ok),), notes)

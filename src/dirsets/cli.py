@@ -98,9 +98,6 @@ def _cmd_invariants(args, out):
             alg = slopes.alg
             result["t"] = alg.modulus
             result["degXH"] = slopes.deg_x_tail
-            if alg.infinity_determined:
-                result["note"] = ("algebraic modulus taken over non-vertical "
-                                  "determined slopes")
             for y in sorted(geo.per_direction):
                 row = {"direction": format_direction(F, y),
                        "s_y": geo.per_direction[y]}

@@ -65,9 +65,6 @@ class AffinePointSet:
     def __contains__(self, point):
         return point in self.points
 
-    def with_point(self, point) -> "AffinePointSet":
-        return AffinePointSet.of(self.field, set(self.points) | {point})
-
     # -- text format: header "p h", then "a b" per line, '#' comments --------
 
     @classmethod

@@ -19,9 +19,11 @@ Sweeps never build the bivariate system: SlopeTable, the one table per
 set that the statements read, computes the specializations one slope at
 a time.  R(X,y) = prod over c of (X + c)^(m_c) is read off the line
 profile of slope y, m_c points lying on the line of intercept c, and
-likewise for the vertical direction q (lines X = c).  t and deg_X T are
-affine invariants (see SlopeTable), so no direction is moved to the
-vertical one first.  RedeiSystem serves the `redei` verb and is the
+likewise for the vertical direction q (lines X = c), so what a slope
+yields depends only on its profile, and a sweep's tables share it
+through one slope memo keyed by the profile.  t and deg_X T are affine
+invariants (see SlopeTable), so no direction is moved to the vertical
+one first.  RedeiSystem serves the `redei` verb and is the
 reference the tests compare the table against.
 """
 
@@ -338,20 +340,44 @@ class TailData:
     tail_degree: int
 
 
+# the most profiles one slope memo keeps; a sweep at q <= 8 stays below it
+# (at most C(2q, q) profiles have |U| <= q), while q = 16 has C(32, 16)
+SLOPE_MEMO_CAP = 1 << 14
+
+
+class _SlopeAlgebra:
+    """What a line profile fixes: T(X,y), its TailData, kappa(y) and
+    (R(X,y), Q(X,y)), each None until first read."""
+
+    __slots__ = ("tail", "power", "kappa", "specialization")
+
+    def __init__(self):
+        self.tail = self.power = self.kappa = self.specialization = None
+
+
 class SlopeTable(LineTable):
     """The line table of one point set plus its Rédei specializations, at
     every direction code including the vertical q.
 
-    R(X,y) comes from the profile of direction y.  Tails, their powers and
-    the algebraic invariants (`alg`) are computed on first read and kept;
-    the quotient and root counts, each read once, are not.  The bivariate
-    system specializes slope by slope, R(X,y) Q(X,y) = X^q + T(X,y), so its
-    set-level facts are read off the q specialized tails.  On X^i, i >= 1,
-    the Y-coefficient of T has degree at most q - i < q, so it vanishes at
-    every field value only when it is zero: deg_X T is the largest
-    deg T(X,y) (for |U| >= 2, where deg_X T >= 1), and the X-exponents of
-    T from 1 up are the union of those of the T(X,y).  Tails need
-    1 <= |U| <= q.
+    R(X,y) = prod over c of (X + c)^(m_c) depends only on q and the
+    profile (m_0, ..., m_(q-1)) of direction y, and so do T(X,y), Q(X,y),
+    t(y), the power root, deg T(X,y) and kappa(y).  They are kept in a
+    slope memo keyed by the profile tuple and filled on first read.  A
+    sweep passes one memo to every table it builds, so a profile that
+    recurs across sets is divided out once; a table built without one
+    gets its own.  A memo serves one field.  It stores at most
+    SLOPE_MEMO_CAP profiles; past that, a read of a new profile computes
+    what it needs and stores nothing.  The checks that involve the set
+    itself (|U| <= q, y determined, no -X tail on a determined direction,
+    kappa(y) >= |U| there) run on every read.
+
+    The bivariate system specializes slope by slope, R(X,y) Q(X,y) =
+    X^q + T(X,y), so its set-level facts are read off the q specialized
+    tails.  On X^i, i >= 1, the Y-coefficient of T has degree at most
+    q - i < q, so it vanishes at every field value only when it is zero:
+    deg_X T is the largest deg T(X,y) (for |U| >= 2, where deg_X T >= 1),
+    and the X-exponents of T from 1 up are the union of those of the
+    T(X,y).  Tails need 1 <= |U| <= q.
 
     The paper first moves a determined direction to the vertical one.
     That is not needed: the least t(y) over D and the largest deg T(X,y)
@@ -372,49 +398,64 @@ class SlopeTable(LineTable):
     |D| = 1 the least t is q and the other tails are -X either way.
     """
 
-    def __init__(self, U: AffinePointSet):
+    def __init__(self, U: AffinePointSet, memo: dict | None = None):
         super().__init__(U)
-        self._tails = {}
-        self._powers = {}
+        self._memo = {} if memo is None else memo
+
+    def _algebra(self, y: int) -> _SlopeAlgebra:
+        """The memo entry of direction y's profile."""
+        key = tuple(self.profile(y))
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = _SlopeAlgebra()
+            if len(self._memo) < SLOPE_MEMO_CAP:
+                self._memo[key] = entry
+        return entry
 
     def tail(self, y: int) -> tuple:
         """T(X, y) at a direction code y."""
-        t_y = self._tails.get(y)
-        if t_y is None:
-            if not 1 <= len(self.U) <= self.field.q:
-                raise ValueError(f"need 1 <= |U| <= q, got |U| = {len(self.U)}, "
-                                 f"q = {self.field.q}")
-            t_y = self._tails[y] = specialized_tail(self, y)
-        return t_y
+        if not 1 <= len(self.U) <= self.field.q:
+            raise ValueError(f"need 1 <= |U| <= q, got |U| = {len(self.U)}, "
+                             f"q = {self.field.q}")
+        entry = self._algebra(y)
+        if entry.tail is None:
+            entry.tail = specialized_tail(self, y)
+        return entry.tail
 
     def power(self, y: int) -> TailData:
         """t(y), the power root and deg T(X,y) on a determined direction,
         where T(X,y) = -X would contradict the theory."""
-        data = self._powers.get(y)
-        if data is None:
-            F = self.field
-            if y not in self.dirs.determined:
-                raise ValueError(f"direction {y} is not determined")
-            t_y = self.tail(y)
-            if t_y == (0, F.neg(1)):
-                raise SoundnessError("determined slope produced an undetermined tail")
+        F = self.field
+        if y not in self.dirs.determined:
+            raise ValueError(f"direction {y} is not determined")
+        t_y = self.tail(y)
+        if t_y == (0, F.neg(1)):
+            raise SoundnessError("determined slope produced an undetermined tail")
+        entry = self._algebra(y)
+        if entry.power is None:
             tau, root = tail_power(t_y, F)
-            data = self._powers[y] = TailData(tau, root, p_degree(t_y))
-        return data
+            entry.power = TailData(tau, root, p_degree(t_y))
+        return entry.power
 
     def kappa(self, y: int) -> int:
         """Roots of X^q + T(X,y) in GF(q) with multiplicity; at least |U| on
         a determined direction."""
-        k = root_count(self.tail(y), self.field)
+        entry = self._algebra(y)
+        if entry.kappa is None:
+            entry.kappa = root_count(self.tail(y), self.field)
+        k = entry.kappa
         if y in self.dirs.determined and k < len(self.U):
             raise SoundnessError("root count below |U| on a determined slope")
         return k
 
     def specialization(self, y: int):
         """(R(X,y), Q(X,y)) with Q(X,y) the quotient of X^q - X by R(X,y)."""
-        F = self.field
-        r_y = specialized_redei(self, y)
-        return r_y, polys.p_div(F, x_power_minus_x(F), r_y)
+        entry = self._algebra(y)
+        if entry.specialization is None:
+            F = self.field
+            r_y = specialized_redei(self, y)
+            entry.specialization = r_y, polys.p_div(F, x_power_minus_x(F), r_y)
+        return entry.specialization
 
     @functools.cached_property
     def algebraic_modulus(self) -> int:
@@ -437,14 +478,12 @@ class AlgebraicInvariants:
     """Per-slope tail moduli over the determined non-vertical slopes.
 
     The aggregate modulus is their minimum, or the field order when no
-    non-vertical slope is determined.  When the vertical direction is
-    determined it is flagged rather than silently folded in, since the
-    tail is only defined at field values of Y.
+    non-vertical slope is determined.  It is also the least t(y) over all
+    of D, the vertical direction included (see SlopeTable).
     """
 
     per_direction: dict
     modulus: int
-    infinity_determined: bool
 
 
 def algebraic_invariants(U) -> AlgebraicInvariants:
@@ -466,7 +505,7 @@ def algebraic_invariants(U) -> AlgebraicInvariants:
     modulus = table.algebraic_modulus
     if geo.modulus > modulus:
         raise SoundnessError("aggregate geometric modulus exceeds algebraic one")
-    return AlgebraicInvariants(per, modulus, dirs.has_infinity)
+    return AlgebraicInvariants(per, modulus)
 
 
 @dataclass(frozen=True)

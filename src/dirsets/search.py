@@ -220,9 +220,10 @@ def _set_hash(q: int, codes) -> int:
     return zlib.crc32((str(q) + ":" + ",".join(map(str, codes))).encode())
 
 
-def _evaluate_set(U: AffinePointSet, statements, set_hash=None):
-    """Verdicts of the statements on U, and its CSV row when set_hash is given."""
-    table = SlopeTable(U)
+def _evaluate_set(U: AffinePointSet, statements, memo, set_hash=None):
+    """Verdicts of the statements on U, and its CSV row when set_hash is
+    given; memo is the slope memo shared with the sweep's other sets."""
+    table = SlopeTable(U, memo)
     outcomes = []
     sharp = False
     for stmt in statements:
@@ -259,8 +260,14 @@ def _row_for(table: SlopeTable, outcomes, set_hash: int):
 
 
 def _sweep_shards(cfg: SearchConfig, shard_ids, collect_rows: bool):
-    """Partial tallies for the given shards; deterministic per shard."""
+    """Partial tallies for the given shards; deterministic per shard.
+
+    Every set's table reads one slope memo, which lives as long as this
+    call: each worker keeps its own, and its values depend only on their
+    keys, so the tallies do not depend on how the shards are split.
+    """
     wanted = set(shard_ids)
+    memo = {}
     tallies = {s: {"pass": 0, "fail": 0, "inapplicable": 0} for s in cfg.statements}
     per_shard = {sid: {"count": 0, "counterexamples": [], "rows": [], "sharp": []}
                  for sid in shard_ids}
@@ -273,7 +280,7 @@ def _sweep_shards(cfg: SearchConfig, shard_ids, collect_rows: bool):
         bucket = per_shard[sid]
         bucket["count"] += 1
         outcomes, row, sharp, table = _evaluate_set(
-            U, cfg.statements, set_hash if collect_rows else None)
+            U, cfg.statements, memo, set_hash if collect_rows else None)
         for stmt, verdict in outcomes:
             if not verdict.applicable:
                 tallies[stmt]["inapplicable"] += 1

@@ -45,6 +45,9 @@ def test_invariants_json(capsys):
     assert rc == 0
     res = doc["result"]
     assert res["s"] == 2 and res["t"] == 2 and res["degXH"] == 2
+    # D holds inf, and the least t(y) over the slopes is still the least
+    # over D: nothing to note
+    assert "note" not in res
     table = {row["direction"]: row for row in res["per_direction"]}
     assert table["0"]["t_y"] == 2 and table["0"]["kappa"] == 4
     assert table["inf"]["s_y"] == 2 and "t_y" not in table["inf"]
@@ -335,9 +338,15 @@ S9 = ("thm-m,size-q-trichotomy,prime-dichotomy,line-congruence,"
       "moduli-order")
 
 
+Q3_S9_CSV = (["search", "--q", "3", "--n-max", "9", "--statements", S9, "--format", "csv"],
+             "981b28d65701531ad00808f129d28e59f360a2f50921f9e3f59e606907ddf264")
+Q5_TAILS = ["search", "--q", "5", "--n-max", "4", "--statements",
+            "prime-dichotomy,moduli-order,root-power-bound,power-membership",
+            "--format", "json"]
+
+
 @pytest.mark.parametrize("argv,digest", [
-    (["search", "--q", "3", "--n-max", "9", "--statements", S9, "--format", "csv"],
-     "981b28d65701531ad00808f129d28e59f360a2f50921f9e3f59e606907ddf264"),
+    Q3_S9_CSV,
     (["search", "--q", "3", "--n-max", "9", "--statements", S9, "--format", "json"],
      "d8d25bdebf064622c1d8944e41f273bb457745c83abc1d6c5b94bff69c2d798d"),
     (["search", "--q", "4", "--n-max", "4", "--statements", S9, "--format", "csv"],
@@ -350,6 +359,9 @@ S9 = ("thm-m,size-q-trichotomy,prime-dichotomy,line-congruence,"
     (["hunt", "--conjecture", "conj-maximal-linear", "--q", "4", "--n-min", "2",
       "--n-max", "4", "--format", "json"],
      "1f3926af5169c79865d6a6b4c77cac8baa7d5c749ab0e3d4a3b52fd0ebedb644"),
+    # 15276 sets over at most C(9, 4) = 126 slope profiles: each profile
+    # recurs across hundreds of sets
+    (Q5_TAILS, "c3efeb4d72f81b451498f9e8770bae6c5240aaf1b5b490a35ff1e85e1f67cbf2"),
 ])
 def test_report_bytes_are_pinned(capsys, argv, digest):
     # sha256 of each report: a change to report bytes must update these
@@ -357,3 +369,34 @@ def test_report_bytes_are_pinned(capsys, argv, digest):
     rc, out = run(capsys, argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_q5_tallies_at_two_workers(capsys):
+    # the pinned report's tallies; each worker fills its own slope memo
+    rc, doc = run_json(capsys, Q5_TAILS[:-2] + ["--workers", "2"])
+    assert rc == 0
+    assert doc["result"]["sets_examined"] == 15276
+    assert doc["result"]["tallies"] == {
+        "moduli-order": {"fail": 0, "inapplicable": 26, "pass": 15250},
+        "power-membership": {"fail": 0, "inapplicable": 1, "pass": 15275},
+        "prime-dichotomy": {"fail": 0, "inapplicable": 2026, "pass": 13250},
+        "root-power-bound": {"fail": 0, "inapplicable": 2776, "pass": 12500}}
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_slope_memo_cap_keeps_report_bytes(capsys, monkeypatch, cap):
+    # past the cap entries are computed and not shared; nothing else moves
+    from dirsets import redei
+    from dirsets.field import make_field
+    from dirsets.geometry import AffinePointSet
+
+    monkeypatch.setattr(redei, "SLOPE_MEMO_CAP", cap)
+    argv, digest = Q3_S9_CSV
+    rc, out = run(capsys, argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    F = make_field(3, 1)
+    memo = {}
+    for pairs in (((0, 0), (1, 1), (2, 0)), ((0, 0), (0, 1), (1, 2))):
+        assert redei.SlopeTable(AffinePointSet.of(F, pairs), memo).alg.modulus == 1
+    assert len(memo) == cap

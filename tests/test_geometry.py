@@ -152,7 +152,7 @@ def test_adding_points_never_shrinks_directions(gf4):
         P = (rng.randrange(4), rng.randrange(4))
         if P in U.points:
             continue
-        assert directions_of(U.with_point(P)).determined >= D
+        assert directions_of(AffinePointSet.of(gf4, U.points | {P})).determined >= D
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -183,10 +183,12 @@ def test_is_maximal_matches_definition_exhaustively(gf3):
             dirs = directions_of(U)
             free = [divmod(c, 3) for c in range(9) if divmod(c, 3) not in U.points]
             assert list(extension_points(U)) == [
-                P for P in free if directions_of(U.with_point(P)) == dirs]
+                P for P in free
+                if directions_of(AffinePointSet.of(gf3, U.points | {P})) == dirs]
             if dirs.is_all:
                 continue
-            naive = all(len(directions_of(U.with_point(P))) > len(dirs) for P in free)
+            naive = all(len(directions_of(AffinePointSet.of(gf3, U.points | {P})))
+                        > len(dirs) for P in free)
             assert is_maximal(U) == naive
 
 

@@ -158,7 +158,7 @@ def test_algebraic_invariants_unit_square(unit_square):
     table = SlopeTable(unit_square)
     alg = algebraic_invariants(table)
     assert alg.modulus == 2 and table.deg_x_tail == 2
-    assert alg.infinity_determined
+    assert table.dirs.has_infinity
     assert set(alg.per_direction) == {0, 1}
     assert all(table.kappa(y) == 4 for y in alg.per_direction)
 
@@ -302,31 +302,61 @@ def _differential_sets(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_slope_table_matches_bivariate_system(q):
     # the table specializes slope by slope what the verified bivariate
-    # system computes at once
+    # system computes at once; each set is read through its own slope memo
+    # and through one memo shared, warm, across the whole family
     checked = 0
+    shared = {}
+    profiles = set()
     for U in _differential_sets(q):
         F = U.field
         sys_ = redei_system(U, verify=True)
-        table = SlopeTable(U)
-        for y in range(q):
-            t_y = sys_.tail.specialize(y)
-            assert table.specialization(y) == (sys_.redei.specialize(y),
-                                               sys_.quotient.specialize(y))
-            assert table.tail(y) == t_y
-            assert table.kappa(y) == P.count_roots_with_multiplicity(
-                F, P.p_add(F, P.p_monomial(q), t_y))
-            if y in table.dirs.determined:
-                data = table.power(y)
-                assert (data.modulus, data.root) == tail_power(t_y, F)
-                assert data.tail_degree == P.p_degree(t_y)
-        if len(U) >= 2:
-            assert table.deg_x_tail == sys_.deg_x_tail()
-        exps = {q} | {i for i, row in enumerate(sys_.tail.coeffs) if row}
-        for m in (F.p ** e for e in range(F.h + 1)):
-            bad = tuple(sorted(e for e in exps if e not in (0, 1) and e % m))
-            assert check_power_span(table, m) == (not bad, bad)
+        for table in (SlopeTable(U), SlopeTable(U, shared)):
+            for y in range(q):
+                t_y = sys_.tail.specialize(y)
+                assert table.specialization(y) == (sys_.redei.specialize(y),
+                                                   sys_.quotient.specialize(y))
+                assert table.tail(y) == t_y
+                assert table.kappa(y) == P.count_roots_with_multiplicity(
+                    F, P.p_add(F, P.p_monomial(q), t_y))
+                if y in table.dirs.determined:
+                    data = table.power(y)
+                    assert (data.modulus, data.root) == tail_power(t_y, F)
+                    assert data.tail_degree == P.p_degree(t_y)
+                profiles.add(tuple(table.profile(y)))
+            if len(U) >= 2:
+                assert table.deg_x_tail == sys_.deg_x_tail()
+            exps = {q} | {i for i, row in enumerate(sys_.tail.coeffs) if row}
+            for m in (F.p ** e for e in range(F.h + 1)):
+                bad = tuple(sorted(e for e in exps if e not in (0, 1) and e % m))
+                assert check_power_span(table, m) == (not bad, bad)
         checked += 1
     assert checked == {2: 10, 3: 129, 4: 2516}.get(q, 150)
+    # the shared memo holds one entry per slope profile the family has
+    assert set(shared) == profiles
+
+
+def test_alarms_fire_on_every_read_of_a_shared_memo(gf5, monkeypatch):
+    # a memo entry is shared by every set with the profile, but the checks
+    # that involve the set run on each read, hit or miss
+    from dirsets import polys, redei
+    from dirsets.field import SoundnessError
+
+    U = pts(gf5, [(0, 0), (1, 1), (2, 3)])
+    y = 1  # determined by (0, 0) and (1, 1)
+    monkeypatch.setattr(redei, "root_count", lambda tail, field: len(U) - 1)
+    monkeypatch.setattr(redei, "specialized_tail",
+                        lambda U, y: polys.p_trim((0, U.field.neg(1))))
+    memo = {}
+    for _ in range(2):
+        table = SlopeTable(U, memo)
+        with pytest.raises(SoundnessError, match="root count"):
+            table.kappa(y)
+        with pytest.raises(SoundnessError, match="undetermined tail"):
+            table.power(y)
+        with pytest.raises(ValueError, match="not determined"):
+            table.power(0)
+    # the second table read the entry the first one filled
+    assert len(memo) == 1 and next(iter(memo.values())).kappa == len(U) - 1
 
 
 def _normal_form_sets(q):

@@ -316,3 +316,40 @@ def test_theorem_sweep_never_builds_the_bivariate_system(monkeypatch):
     report = sweep(SearchConfig(q=3, n_min=0, n_max=9, statements=theorems),
                    collect_rows=True)
     assert report.sets_examined == 512 and not report.failed
+
+
+def test_successive_sweeps_do_not_share_the_slope_memo(monkeypatch):
+    # every table of one sweep reads the same memo, so each profile's tail
+    # is divided out once; the next sweep starts from an empty memo
+    from dirsets import redei, search
+
+    memos = []
+    profiles = []
+
+    class Recording(redei.SlopeTable):
+        def __init__(self, U, memo=None):
+            super().__init__(U, memo)
+            memos.append(memo)
+
+    real_tail = redei.specialized_tail
+
+    def counted_tail(U, y):
+        profiles.append(tuple(U.profile(y)))
+        return real_tail(U, y)
+
+    monkeypatch.setattr(search, "SlopeTable", Recording)
+    monkeypatch.setattr(redei, "specialized_tail", counted_tail)
+    cfg = SearchConfig(q=3, n_min=0, n_max=4,
+                       statements=("moduli-order", "root-power-bound"))
+    first = sweep(cfg)
+    split = len(memos)
+    assert split == first.sets_examined == 1 + 9 + 36 + 84 + 126
+    first_calls = profiles[:]
+    second = sweep(cfg)
+    assert second.as_dict() == first.as_dict()
+    assert all(m is memos[0] for m in memos[:split])
+    assert all(m is memos[split] for m in memos[split:])
+    assert memos[0] is not memos[split]
+    # one division per profile within a sweep, all of them again in the next
+    assert len(set(first_calls)) == len(first_calls) == len(memos[0])
+    assert profiles[len(first_calls):] == first_calls
