@@ -58,7 +58,7 @@ def _emit_csv(out, verb, config, field, columns, rows):
     _emit_text_header(out, verb, config, field)
     out.write(",".join(columns) + "\n")
     for row in rows:
-        out.write(",".join(str(row.get(c, "")) for c in columns) + "\n")
+        out.write(",".join(map(str, row)) + "\n")
 
 
 def _load_set(path) -> AffinePointSet:
@@ -94,23 +94,25 @@ def _cmd_invariants(args, out):
     if dirs.determined:
         geo = slopes.geo
         result["s"] = geo.modulus
+        tails = {}
         if len(U) <= F.q:
             alg = slopes.alg
             result["t"] = alg.modulus
             result["degXH"] = slopes.deg_x_tail
-            for y in sorted(geo.per_direction):
-                row = {"direction": format_direction(F, y),
-                       "s_y": geo.per_direction[y]}
-                data = alg.per_direction.get(y)
-                if data is not None:
-                    row["t_y"] = data.modulus
-                    row["deg_f"] = (len(data.root) - 1
-                                    if data.root is not None else "")
-                    row["kappa"] = slopes.kappa(y)
-                table.append(row)
+            tails = alg.per_direction
         else:
             result["t"] = None
             result["note"] = "tail system needs at most q points"
+        for y in sorted(geo.per_direction):
+            row = {"direction": format_direction(F, y),
+                   "s_y": geo.per_direction[y]}
+            data = tails.get(y)
+            if data is not None:
+                row["t_y"] = data.modulus
+                row["deg_f"] = (len(data.root) - 1
+                                if data.root is not None else "")
+                row["kappa"] = slopes.kappa(y)
+            table.append(row)
     else:
         result["s"] = None
         result["t"] = None
@@ -127,6 +129,8 @@ def _cmd_invariants(args, out):
             out.write(f"  dir {row['direction']}: s(y)={row['s_y']}"
                       f" t(y)={row.get('t_y', '')} deg_f={row.get('deg_f', '')}"
                       f" kappa={row.get('kappa', '')}\n")
+        if "note" in result:
+            out.write(f"note: {result['note']}\n")
     return _EXIT_OK
 
 
@@ -239,7 +243,23 @@ def _search_config(args) -> SearchConfig:
     return SearchConfig(**merged)
 
 
-def _report_exit(report) -> int:
+def _emit_report(out, verb, config, report, timing: bool) -> int:
+    """Write a search or hunt report; the exit code says whether it failed."""
+    field = report.config.field()
+    fmt = config["format"]
+    if fmt == "csv":
+        _emit_csv(out, verb, config, field, _CSV_COLUMNS, report.rows)
+    elif fmt == "json":
+        _emit_json(out, verb, config, field, report.as_dict(include_timing=timing))
+    else:
+        _emit_text_header(out, verb, config, field)
+        out.write(f"sets examined: {report.sets_examined}\n")
+        for stmt, counts in sorted(report.tallies.items()):
+            out.write(f"  {stmt}: pass={counts['pass']} fail={counts['fail']} "
+                      f"inapplicable={counts['inapplicable']}\n")
+        out.write(f"counterexamples: {len(report.counterexamples)}\n")
+        if timing:
+            out.write(f"wall_ms: {report.wall_ms:.1f}\n")
     return _EXIT_COUNTEREXAMPLE if report.failed else _EXIT_OK
 
 
@@ -247,41 +267,16 @@ def _cmd_search(args, out):
     cfg = _search_config(args)
     report = sweep(cfg, replay_dir=args.replay_dir,
                    collect_rows=args.format == "csv")
-    config = cfg.as_dict()
-    config["format"] = args.format
-    if args.format == "csv":
-        _emit_csv(out, "search", config, cfg.field(), _CSV_COLUMNS, report.rows)
-    elif args.format == "json":
-        _emit_json(out, "search", config, cfg.field(),
-                   report.as_dict(include_timing=args.timing))
-    else:
-        _emit_text_header(out, "search", config, cfg.field())
-        out.write(f"sets examined: {report.sets_examined}\n")
-        for stmt, counts in sorted(report.tallies.items()):
-            out.write(f"  {stmt}: pass={counts['pass']} fail={counts['fail']} "
-                      f"inapplicable={counts['inapplicable']}\n")
-        out.write(f"counterexamples: {len(report.counterexamples)}\n")
-        if args.timing:
-            out.write(f"wall_ms: {report.wall_ms:.1f}\n")
-    return _report_exit(report)
+    config = {**cfg.as_dict(), "format": args.format}
+    return _emit_report(out, "search", config, report, args.timing)
 
 
 def _cmd_hunt(args, out):
     cfg = _search_config(args)
     report = hunt(cfg, args.conjecture, replay_dir=args.replay_dir)
-    config = cfg.as_dict()
-    config.update({"format": args.format, "conjecture": args.conjecture})
-    if args.format == "json":
-        _emit_json(out, "hunt", config, cfg.field(),
-                   report.as_dict(include_timing=args.timing))
-    else:
-        _emit_text_header(out, "hunt", config, cfg.field())
-        counts = report.tallies[args.conjecture]
-        out.write(f"sets examined: {report.sets_examined}\n")
-        out.write(f"{args.conjecture}: pass={counts['pass']} fail={counts['fail']} "
-                  f"inapplicable={counts['inapplicable']}\n")
-        out.write(f"counterexamples: {len(report.counterexamples)}\n")
-    return _report_exit(report)
+    config = {**cfg.as_dict(), "format": args.format,
+              "conjecture": args.conjecture}
+    return _emit_report(out, "hunt", config, report, args.timing)
 
 
 def _cmd_complete(args, out):

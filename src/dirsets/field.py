@@ -16,6 +16,7 @@ by (p, h); they are safe to share between threads and pickle cheaply.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 DEFAULT_MAX_ORDER = 1 << 20
@@ -397,9 +398,10 @@ def subfield_orders(field: Field):
 
 def prime_power_parts(q: int):
     """(p, h) with q = p^h, or ValueError.  The least divisor of q is prime;
-    q is a prime power iff that divisor exhausts it."""
+    q is a prime power iff that divisor exhausts it.  A q with no divisor
+    up to sqrt(q) is prime, so the trial division stops there."""
     if q >= 2:
-        p = next(d for d in range(2, q + 1) if q % d == 0)
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
         h, m = 0, q
         while m % p == 0:
             m //= p

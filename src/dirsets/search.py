@@ -9,9 +9,12 @@ Every least image sends some ordered pair of the set to codes 0 and 1,
 so the canonical form is a scan over the set's own affine frames, and
 the walk visits only code tuples that start with (0, 1).
 
-Sweeps shard the stream by a stable hash of each set's representative
-into a fixed number of shards; per-shard tallies are merged in shard
-order, so reports are identical regardless of the worker count.
+Sweeps shard the stream by a stable hash (crc32) of each set's sorted
+point codes into N_SHARDS shards, and each worker takes every w-th
+shard.  One loop evaluates a worker's sets and appends counterexamples,
+sharp sets and CSV rows (tuples in _CSV_COLUMNS order) to its shard's
+lists in stream order; the sweep sums the tallies and concatenates the
+lists in shard order, so reports are identical at every worker count.
 """
 
 from __future__ import annotations
@@ -93,8 +96,9 @@ class SearchConfig:
         for s in self.statements:
             if s not in STATEMENTS:
                 raise ValueError(f"unknown statement {s!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
+        if not 1 <= self.workers <= N_SHARDS:
+            raise ValueError(f"workers must be between 1 and {N_SHARDS} "
+                             f"(the shard count), got {self.workers}")
 
     def field(self) -> Field:
         p, h = prime_power_parts(self.q)
@@ -185,18 +189,22 @@ class SearchReport:
 
     config: SearchConfig
     sets_examined: int
-    representatives: int | None   # orbit representatives, when symmetry is on
     tallies: dict                 # statement -> {"pass": n, "fail": n, "inapplicable": n}
     counterexamples: tuple        # dicts with statement, points, verdict
     extras: dict
-    rows: tuple = ()
+    rows: tuple = ()              # CSV rows, tuples in _CSV_COLUMNS order
     wall_ms: float | None = None
+
+    @property
+    def representatives(self) -> int | None:
+        """Orbit representatives examined, when symmetry is on."""
+        return self.sets_examined if self.config.symmetry else None
 
     @property
     def failed(self) -> bool:
         return bool(self.counterexamples)
 
-    def as_dict(self, include_timing: bool = False, include_rows: bool = False):
+    def as_dict(self, include_timing: bool = False):
         out = {
             "config": self.config.as_dict(),
             "sets_examined": self.sets_examined,
@@ -205,8 +213,6 @@ class SearchReport:
             "counterexamples": [dict(c) for c in self.counterexamples],
             "extras": {k: v for k, v in sorted(self.extras.items())},
         }
-        if include_rows:
-            out["rows"] = [dict(r) for r in self.rows]
         if include_timing:
             out["wall_ms"] = self.wall_ms
         return out
@@ -220,92 +226,62 @@ def _set_hash(q: int, codes) -> int:
     return zlib.crc32((str(q) + ":" + ",".join(map(str, codes))).encode())
 
 
-def _evaluate_set(U: AffinePointSet, statements, memo, set_hash=None):
-    """Verdicts of the statements on U, and its CSV row when set_hash is
-    given; memo is the slope memo shared with the sweep's other sets."""
-    table = SlopeTable(U, memo)
-    outcomes = []
-    sharp = False
-    for stmt in statements:
-        verdict = verify_statement(stmt, table)
-        outcomes.append((stmt, verdict))
-        if verdict.applicable and "sharp" in verdict.notes:
-            sharp = True
-    row = None
-    if set_hash is not None:
-        row = _row_for(table, outcomes, set_hash)
-    return outcomes, row, sharp, table
-
-
-def _row_for(table: SlopeTable, outcomes, set_hash: int):
-    q = table.field.q
+def _row_for(table: SlopeTable, verdicts, set_hash: int) -> tuple:
+    """The set's CSV row, in _CSV_COLUMNS order."""
     s = t = deg = ""
     if table.dirs.determined:
         s = table.geo.modulus
-        if len(table.U) <= q:
+        if len(table.U) <= table.field.q:
             t = table.alg.modulus
             deg = table.deg_x_tail
-    case = ""
-    holds = ""
-    applicable = [v for _, v in outcomes if v.applicable]
-    for _, v in outcomes:
-        if v.applicable and v.case is not None:
-            case = v.case
-            break
-    if applicable:
-        holds = int(all(v.holds for v in applicable))
-    return {"set_id": format(set_hash, "08x"), "n": len(table.U),
-            "D_size": len(table.dirs), "s": s, "t": t, "degXH": deg,
-            "case": case, "holds": holds}
+    applicable = [v for v in verdicts if v.applicable]
+    case = next((v.case for v in applicable if v.case is not None), "")
+    holds = int(all(v.holds for v in applicable)) if applicable else ""
+    return (format(set_hash, "08x"), len(table.U), len(table.dirs), s, t, deg,
+            case, holds)
 
 
 def _sweep_shards(cfg: SearchConfig, shard_ids, collect_rows: bool):
-    """Partial tallies for the given shards; deterministic per shard.
+    """(tallies, sets counted, {shard: (counterexamples, sharp sets, rows)})
+    over the streamed sets that fall in the given shards.
 
-    Every set's table reads one slope memo, which lives as long as this
-    call: each worker keeps its own, and its values depend only on their
-    keys, so the tallies do not depend on how the shards are split.
+    Each shard's lists keep stream order, so concatenating them in shard
+    order gives the same report however the shards are split.  Every
+    set's table reads one slope memo, which lives as long as this call:
+    each worker keeps its own, and its values depend only on their keys.
     """
-    wanted = set(shard_ids)
     memo = {}
     tallies = {s: {"pass": 0, "fail": 0, "inapplicable": 0} for s in cfg.statements}
-    per_shard = {sid: {"count": 0, "counterexamples": [], "rows": [], "sharp": []}
-                 for sid in shard_ids}
+    buckets = {sid: ([], [], []) for sid in shard_ids}
+    count = 0
     q = cfg.q
     for U in enumerate_sets(cfg):
         set_hash = _set_hash(q, sorted(point_code(q, p) for p in U.points))
-        sid = set_hash % N_SHARDS
-        if sid not in wanted:
+        bucket = buckets.get(set_hash % N_SHARDS)
+        if bucket is None:
             continue
-        bucket = per_shard[sid]
-        bucket["count"] += 1
-        outcomes, row, sharp, table = _evaluate_set(
-            U, cfg.statements, memo, set_hash if collect_rows else None)
-        for stmt, verdict in outcomes:
+        counterexamples, sharp, rows = bucket
+        count += 1
+        table = SlopeTable(U, memo)
+        verdicts = [verify_statement(stmt, table) for stmt in cfg.statements]
+        for stmt, verdict in zip(cfg.statements, verdicts):
             if not verdict.applicable:
                 tallies[stmt]["inapplicable"] += 1
             elif verdict.holds:
                 tallies[stmt]["pass"] += 1
             else:
                 tallies[stmt]["fail"] += 1
-                bucket["counterexamples"].append({
+                counterexamples.append({
                     "statement": stmt,
                     "points": [list(p) for p in sorted(U.points)],
                     "verdict": verdict.as_dict(),
                 })
-        if sharp:
-            bucket["sharp"].append({"n": len(U), "D_size": len(table.dirs),
-                                    "points": [list(p) for p in sorted(U.points)]})
-        if row is not None:
-            bucket["rows"].append(row)
-    return tallies, per_shard
-
-
-def _merge_tallies(target, part):
-    for stmt, counts in part.items():
-        slot = target.setdefault(stmt, {"pass": 0, "fail": 0, "inapplicable": 0})
-        for k, v in counts.items():
-            slot[k] += v
+        if any(v.applicable and "sharp" in v.notes for v in verdicts):
+            sharp.append({"n": len(U), "D_size": len(table.dirs),
+                          "points": [list(p) for p in sorted(U.points)]})
+        if collect_rows:
+            rows.append(_row_for(table, verdicts, set_hash))
+    return tallies, count, buckets
 
 
 def sweep(cfg: SearchConfig, replay_dir=None, collect_rows: bool = False) -> SearchReport:
@@ -316,46 +292,29 @@ def sweep(cfg: SearchConfig, replay_dir=None, collect_rows: bool = False) -> Sea
     file in the point-set format before the report is returned.
     """
     t0 = time.monotonic()
-    all_shards = list(range(N_SHARDS))
-    if cfg.workers > 1:
+    w = cfg.workers
+    if w > 1:
         # imported here so that single-worker calls skip multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        chunks = [all_shards[i::cfg.workers] for i in range(cfg.workers)]
-        tallies = {}
-        shard_data = {}
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for part_tallies, part_shards in pool.map(
-                    _sweep_worker, [(cfg, chunk, collect_rows) for chunk in chunks]):
-                _merge_tallies(tallies, part_tallies)
-                shard_data.update(part_shards)
+        with ProcessPoolExecutor(max_workers=w) as pool:
+            parts = list(pool.map(_sweep_shards, itertools.repeat(cfg, w),
+                                  [range(i, N_SHARDS, w) for i in range(w)],
+                                  itertools.repeat(collect_rows, w)))
     else:
-        tallies, shard_data = _sweep_shards(cfg, all_shards, collect_rows)
-    count = 0
-    counterexamples = []
-    rows = []
-    sharp = []
-    for sid in all_shards:
-        bucket = shard_data.get(sid)
-        if not bucket:
-            continue
-        count += bucket["count"]
-        counterexamples.extend(bucket["counterexamples"])
-        rows.extend(bucket["rows"])
-        sharp.extend(bucket["sharp"])
-    extras = {}
-    if sharp:
-        extras["sharp_sets"] = sharp
-    report = SearchReport(cfg, count, count if cfg.symmetry else None,
-                          tallies, tuple(counterexamples), extras,
-                          tuple(rows), (time.monotonic() - t0) * 1000.0)
+        parts = [_sweep_shards(cfg, range(N_SHARDS), collect_rows)]
+    part_tallies, counts, part_buckets = zip(*parts)
+    tallies = {stmt: {k: sum(t[stmt][k] for t in part_tallies) for k in outcomes}
+               for stmt, outcomes in part_tallies[0].items()}
+    buckets = {sid: lists for b in part_buckets for sid, lists in b.items()}
+    counterexamples, sharp, rows = (
+        tuple(x for sid in range(N_SHARDS) for x in buckets[sid][i])
+        for i in range(3))
+    extras = {"sharp_sets": list(sharp)} if sharp else {}
+    report = SearchReport(cfg, sum(counts), tallies, counterexamples, extras,
+                          rows, (time.monotonic() - t0) * 1000.0)
     if replay_dir is not None and counterexamples:
         _write_replays(cfg, counterexamples, replay_dir)
     return report
-
-
-def _sweep_worker(args):
-    cfg, shard_ids, collect_rows = args
-    return _sweep_shards(cfg, shard_ids, collect_rows)
 
 
 def _write_replays(cfg: SearchConfig, counterexamples, replay_dir):
@@ -373,9 +332,7 @@ def hunt(cfg: SearchConfig, conjecture: str, replay_dir=None) -> SearchReport:
     applicability gate, and report hypothesis hits and any violations."""
     if conjecture not in ("conj-moduli-match", "conj-maximal-linear"):
         raise ValueError(f"unknown conjecture {conjecture!r}")
-    cfg = replace(cfg, statements=(conjecture,))
-    report = sweep(cfg, replay_dir=replay_dir, collect_rows=False)
-    return report
+    return sweep(replace(cfg, statements=(conjecture,)), replay_dir=replay_dir)
 
 
 # -- completion ------------------------------------------------------------------

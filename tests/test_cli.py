@@ -127,6 +127,36 @@ def test_search_empty_stream_header_only(capsys):
     assert lines == ["set_id,n,D_size,s,t,degXH,case,holds"]
 
 
+def test_search_text(capsys):
+    rc, out = run(capsys, ["search", "--q", "3", "--n-max", "3",
+                           "--statements", "thm-m,moduli-order"])
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("# dirsets ") and lines[0].endswith(":: search")
+    assert lines[1] == "# field 3^1 modulus [0, 1]"
+    assert lines[2].startswith("# config ") and '"format": "text"' in lines[2]
+    assert lines[3:] == [
+        "sets examined: 130",
+        "  moduli-order: pass=120 fail=0 inapplicable=10",
+        "  thm-m: pass=120 fail=0 inapplicable=10",
+        "counterexamples: 0"]
+
+
+def test_hunt_text_with_timing(capsys):
+    rc, out = run(capsys, ["hunt", "--conjecture", "conj-moduli-match",
+                           "--q", "3", "--n-max", "3", "--timing"])
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0].endswith(":: hunt")
+    assert '"conjecture": "conj-moduli-match"' in lines[2]
+    assert lines[3:6] == [
+        "sets examined: 130",
+        "  conj-moduli-match: pass=84 fail=0 inapplicable=46",
+        "counterexamples: 0"]
+    assert len(lines) == 7 and lines[6].startswith("wall_ms: ")
+    assert float(lines[6].split(": ")[1]) >= 0
+
+
 def test_search_random_requires_seed(capsys):
     rc, _ = run(capsys, ["search", "--q", "3", "--mode", "random",
                          "--statements", "thm-m"])
@@ -152,6 +182,7 @@ def test_search_config_file_with_flag_override(tmp_path, capsys):
     ('{"q": 3, "statements": "thm-m"}', "statements must be a JSON list"),
     ('{"q": 3, "symmetry": "off"}', "symmetry must be true or false"),
     ('{"q": 3, "workers": true}', "workers must be an integer"),
+    ('{"q": 3, "workers": 65}', "workers must be between 1 and 64"),
 ])
 def test_search_config_file_rejected(tmp_path, capsys, content, message):
     cfg = tmp_path / "cfg.json"
@@ -235,6 +266,12 @@ def test_usage_errors(capsys):
     assert main(["directions", "--set", "missing-file.pts"]) == 1
     assert main([]) == 1
     assert main(["--version"]) == 0
+    capsys.readouterr()
+    # q = 10^9 + 7 is prime: recognised at once, then refused for its size
+    assert main(["search", "--q", "1000000007", "--n-max", "1",
+                 "--statements", "thm-m"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds bound" in captured.err
 
 
 def _run_python(args):
@@ -331,6 +368,18 @@ def test_invariants_oversized_set(capsys, tmp_path):
     assert rc == 0
     assert doc["result"]["s"] == 1 and doc["result"]["t"] is None
     assert "at most q points" in doc["result"]["note"]
+    # s(y) is defined at every determined direction, t(y) is not
+    assert doc["result"]["per_direction"] == [
+        {"direction": y, "s_y": 1} for y in ("0", "1", "inf")]
+    rc, out = run(capsys, ["invariants", "--set", str(big)])
+    assert rc == 0
+    assert out.splitlines()[3:] == [
+        "|U| = 3, |D| = 3",
+        "s = 1, t = None, degXH = ",
+        "  dir 0: s(y)=1 t(y)= deg_f= kappa=",
+        "  dir 1: s(y)=1 t(y)= deg_f= kappa=",
+        "  dir inf: s(y)=1 t(y)= deg_f= kappa=",
+        "note: tail system needs at most q points"]
 
 
 S9 = ("thm-m,size-q-trichotomy,prime-dichotomy,line-congruence,"

@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from dirsets.field import (make_field, subfield_elements, subfield_orders,
-                           subfields)
+from dirsets.field import (make_field, prime_power_parts, subfield_elements,
+                           subfield_orders, subfields)
 
 
 def brute_irreducible_deg2(p, c0, c1):
@@ -44,6 +44,18 @@ def test_make_field_rejects_bad_parameters():
     with pytest.raises(ValueError):
         make_field(2, 5, max_order=16)  # the bound is configurable
     make_field(2, 5, max_order=32)
+
+
+def test_prime_power_parts():
+    assert prime_power_parts(2) == (2, 1)
+    assert prime_power_parts(4) == (2, 2)
+    assert prime_power_parts(49) == (7, 2)
+    # trial division stops at sqrt(q): a large prime answers at once
+    assert prime_power_parts(1000000007) == (1000000007, 1)
+    assert prime_power_parts(3 ** 13) == (3, 13)
+    for q in (0, 1, 6, 486):                   # 486 = 2 * 3^5
+        with pytest.raises(ValueError, match="not a prime power"):
+            prime_power_parts(q)
 
 
 def test_gf4_multiplication_forced_by_modulus(gf4):

@@ -12,7 +12,7 @@ from dirsets.geometry import AffinePointSet, apply_collineation, directions_of
 from dirsets.analysis import STATEMENTS
 from dirsets.search import (CompletionQuery, SearchConfig, canonical_form,
                             complete_set, enumerate_sets, hunt, is_maximal,
-                            point_code, point_from_code, sweep)
+                            point_code, point_from_code, sweep, _CSV_COLUMNS)
 from conftest import random_point_set
 
 
@@ -53,6 +53,9 @@ def test_config_validation():
         SearchConfig(q=3, seed=5)                   # exhaustive mode has no seed
     with pytest.raises(ValueError, match="random mode only"):
         SearchConfig(q=3, budget=7)
+    with pytest.raises(ValueError, match="workers"):  # more workers than shards
+        SearchConfig(q=3, workers=65)
+    assert SearchConfig(q=3, workers=64).workers == 64
     cfg = SearchConfig(q=4, n_min=1)
     assert cfg.n_max == 16 and cfg.field().q == 4
 
@@ -181,11 +184,12 @@ def test_sweep_deterministic_and_worker_independent():
     kwargs = dict(q=3, n_min=0, n_max=9, statements=("thm-m", "moduli-order"))
     one = sweep(SearchConfig(workers=1, **kwargs), collect_rows=True)
     two = sweep(SearchConfig(workers=2, **kwargs), collect_rows=True)
-    da = one.as_dict(include_rows=True)
-    db = two.as_dict(include_rows=True)
+    da = one.as_dict()
+    db = two.as_dict()
     da.pop("config")
     db.pop("config")
     assert da == db
+    assert one.rows == two.rows
 
 
 def test_sweep_rows_schema():
@@ -193,8 +197,7 @@ def test_sweep_rows_schema():
     report = sweep(cfg, collect_rows=True)
     assert len(report.rows) == 120
     for row in report.rows:
-        assert set(row) == {"set_id", "n", "D_size", "s", "t", "degXH",
-                            "case", "holds"}
+        assert isinstance(row, tuple) and len(row) == len(_CSV_COLUMNS)
 
 
 def test_sweep_sharp_sets_recorded(gf5):

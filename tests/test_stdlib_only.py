@@ -37,3 +37,12 @@ def test_every_exported_name_exists():
     assert len(exported) > 40
     assert not [(mod, name) for mod, name in exported
                 if not hasattr(sys.modules[mod], name)]
+
+
+def test_every_module_parses_as_python_3_10():
+    # pyproject.toml promises requires-python >= 3.10
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=(3, 10))
