@@ -81,12 +81,17 @@ class AffinePointSet:
         except Exception as exc:
             raise ValueError(f"bad header {lines[0]!r}: expected 'p h'") from exc
         field = make_field(p, h)
-        pairs = []
+        pairs = set()
         for line in lines[1:]:
             toks = line.split()
             if len(toks) != 2:
                 raise ValueError(f"bad point line {line!r}")
-            pairs.append((int(toks[0]), int(toks[1])))
+            pair = (int(toks[0]), int(toks[1]))
+            if pair in pairs:
+                # a set lists each point once; a repeat means the file is
+                # not the set its writer meant
+                raise ValueError(f"repeated point line {line!r}")
+            pairs.add(pair)
         return cls.of(field, pairs)
 
     @classmethod
@@ -190,7 +195,9 @@ class LineTable:
     """The line profiles of one point set, each counted on first read, and
     the per-set facts built on them, each kept: directions, geometric
     invariants and maximality.  The functions of this module accept a
-    table wherever they accept a point set.
+    table wherever they accept a point set.  An exhaustive sweep starts
+    each table with D and reads its profiles off live line counts
+    (_with_lines).
     """
 
     def __init__(self, U: AffinePointSet):
@@ -210,10 +217,23 @@ class LineTable:
         vars(table).update(vars(U))
         return table
 
+    @classmethod
+    def _with_lines(cls, U, dirs: DirectionSet, count, *args):
+        """A table of U (built with cls(U, *args)) that starts with D and
+        takes each profile from count(y) on first read, for a caller that
+        keeps the line counts up to date point by point."""
+        table = cls(U, *args)
+        table.dirs = dirs
+        table._count = count
+        return table
+
+    def _count(self, y: int):
+        return line_profile(self.U, y)
+
     def profile(self, y: int):
         counts = self._profiles.get(y)
         if counts is None:
-            counts = self._profiles[y] = line_profile(self.U, y)
+            counts = self._profiles[y] = self._count(y)
         return counts
 
     @functools.cached_property

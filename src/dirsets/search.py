@@ -7,18 +7,28 @@ on (exhaustive mode only), only sets equal to their canonical form
 survive: the least sorted code tuple over the affine collineation group.
 Every least image sends some ordered pair of the set to codes 0 and 1,
 so the canonical form is a scan over the set's own affine frames, and
-the walk visits only code tuples that start with (0, 1).
+the stream visits only code tuples that start with (0, 1).
 
-Sweeps shard the stream by a stable hash (crc32) of each set's sorted
-point codes into N_SHARDS shards, and each worker takes every w-th
-shard.  One loop evaluates a worker's sets and appends counterexamples,
-sharp sets and CSV rows (tuples in _CSV_COLUMNS order) to its shard's
-lists in stream order; the sweep sums the tallies and concatenates the
-lists in shard order, so reports are identical at every worker count.
+The stream yields each set as its sorted tuple of point codes.  Sweeps
+shard it by a stable hash (crc32) of those codes into N_SHARDS shards,
+and each worker takes every w-th shard; a set of another shard costs
+the worker one crc32.  One loop evaluates a worker's sets (a sweep with
+no statement and no CSV rows only counts them) and appends
+counterexamples, sharp sets and CSV rows (tuples in _CSV_COLUMNS order)
+to its shard's lists in stream order; the sweep sums the tallies and
+concatenates the lists in shard order, so reports are identical at
+every worker count.
+
+In exhaustive mode each table takes its directions and line profiles
+from a walk (_Walk): line counts that the worker updates point by
+point, from the last set it built to the next, keeping the prefix of
+codes the two share.  Consecutive random sets share no prefix, so
+random streams, and sets of 0 or 1 points, count them from scratch.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -27,8 +37,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .field import Field, make_field, prime_power_parts
-from .geometry import (AffinePointSet, LineTable, direction_of, extension_points,
-                       is_maximal)
+from .geometry import (AffinePointSet, DirectionSet, LineTable, direction_of,
+                       extension_points, is_maximal)
 from .redei import SlopeTable
 from .analysis import STATEMENTS, verify_statement
 
@@ -155,10 +165,11 @@ def canonical_form(U: AffinePointSet) -> tuple:
 
 
 def enumerate_sets(cfg: SearchConfig):
-    """The deterministic stream of point sets described by the config.
+    """The deterministic stream of sets described by the config, each as
+    its sorted tuple of point codes.
 
     With symmetry on, only code tuples that start with (0, 1) (n = 1:
-    (0,)) can be canonical; the walk visits just those, in the same
+    (0,)) can be canonical; the stream visits just those, in the same
     lexicographic order.
     """
     F = cfg.field()
@@ -169,16 +180,92 @@ def enumerate_sets(cfg: SearchConfig):
             for rest in itertools.combinations(range(len(head), q * q),
                                                n - len(head)):
                 codes = head + rest
-                pts = [point_from_code(q, c) for c in codes]
-                if cfg.symmetry and _orbit_min(F, pts, stop_at=codes) != codes:
+                if cfg.symmetry and _orbit_min(
+                        F, [point_from_code(q, c) for c in codes],
+                        stop_at=codes) != codes:
                     continue
-                yield AffinePointSet.of(F, pts)
+                yield codes
     else:
         rng = random.Random(cfg.seed)
         for _ in range(cfg.budget):
             n = rng.randint(cfg.n_min, cfg.n_max)
-            codes = sorted(rng.sample(range(q * q), n))
-            yield AffinePointSet.of(F, [point_from_code(q, c) for c in codes])
+            yield tuple(sorted(rng.sample(range(q * q), n)))
+
+
+class _Rows(dict):
+    """Point code c = a*q + b -> the intercepts of the q + 1 lines through
+    its point: b - y*a for the slopes y < q, then a for the vertical
+    direction q; each computed on first use."""
+
+    def __init__(self, F: Field):
+        super().__init__()
+        self.field = F
+
+    def __missing__(self, c: int) -> tuple:
+        F = self.field
+        a, b = point_from_code(F.q, c)
+        row = self[c] = tuple(F.sub(b, F.mul(y, a)) for y in range(F.q)) + (a,)
+        return row
+
+
+class _Walk:
+    """The line counts of the set last built, updated point by point.
+
+    counts[y][i] is the number of points on the line of direction y and
+    intercept i, and multi[y] the number of those lines with two points
+    or more, so y is determined iff multi[y] > 0; rows[c] are the
+    intercepts of the lines through the point of code c.  A new set
+    keeps the prefix of codes it shares with the last one; the rest of
+    the last set's points are taken out and the new set's added, at
+    q + 1 counts each.  The (q+1) q counts are allocated on the first
+    set and each row on its code's first use, so past that a walk costs
+    O(q) per code it touches and O(q) per point changed, D or profile
+    read.
+    """
+
+    def __init__(self, F: Field):
+        self.field = F
+        self.rows = _Rows(F)
+        self.counts = None
+        self.codes = ()
+
+    def lines(self, codes):
+        """(point set, D, profile reader) of the set with these sorted
+        codes; the reader serves while the walk stays at the set."""
+        F = self.field
+        q = F.q
+        if self.counts is None:
+            self.counts = [[0] * q for _ in range(q + 1)]
+            self.multi = [0] * (q + 1)
+        counts, multi, rows = self.counts, self.multi, self.rows
+        old = self.codes
+        k = 0
+        for a, b in zip(old, codes):
+            if a != b:
+                break
+            k += 1
+        for c in old[k:]:
+            for y, i in enumerate(rows[c]):
+                line = counts[y]
+                line[i] -= 1
+                if line[i] == 1:
+                    multi[y] -= 1
+        for c in codes[k:]:
+            for y, i in enumerate(rows[c]):
+                line = counts[y]
+                line[i] += 1
+                if line[i] == 2:
+                    multi[y] += 1
+        self.codes = codes
+        U = AffinePointSet(F, frozenset(point_from_code(q, c) for c in codes))
+        dirs = DirectionSet(F, frozenset(itertools.compress(range(q + 1), multi)))
+        return U, dirs, functools.partial(self.profile, codes)
+
+    def profile(self, codes, y: int):
+        """Direction y's profile of the set with these codes."""
+        if codes is not self.codes:
+            raise RuntimeError("the walk has moved past this set")
+        return self.counts[y].copy()
 
 
 # -- sweeping ------------------------------------------------------------------
@@ -249,20 +336,31 @@ def _sweep_shards(cfg: SearchConfig, shard_ids, collect_rows: bool):
     order gives the same report however the shards are split.  Every
     set's table reads one slope memo, which lives as long as this call:
     each worker keeps its own, and its values depend only on their keys.
+    An exhaustive stream reads the tables of two points or more off one
+    walk, which goes from set to set of this call only.
     """
     memo = {}
     tallies = {s: {"pass": 0, "fail": 0, "inapplicable": 0} for s in cfg.statements}
     buckets = {sid: ([], [], []) for sid in shard_ids}
     count = 0
     q = cfg.q
-    for U in enumerate_sets(cfg):
-        set_hash = _set_hash(q, sorted(point_code(q, p) for p in U.points))
+    F = cfg.field()
+    walk = _Walk(F) if cfg.mode == "exhaustive" else None
+    for codes in enumerate_sets(cfg):
+        set_hash = _set_hash(q, codes)
         bucket = buckets.get(set_hash % N_SHARDS)
         if bucket is None:
             continue
         counterexamples, sharp, rows = bucket
         count += 1
-        table = SlopeTable(U, memo)
+        if not (cfg.statements or collect_rows):
+            continue  # nothing would read the set's table
+        if walk is not None and len(codes) >= 2:
+            table = SlopeTable._with_lines(*walk.lines(codes), memo)
+        else:
+            table = SlopeTable(AffinePointSet.of(
+                F, [point_from_code(q, c) for c in codes]), memo)
+        U = table.U
         verdicts = [verify_statement(stmt, table) for stmt in cfg.statements]
         for stmt, verdict in zip(cfg.statements, verdicts):
             if not verdict.applicable:

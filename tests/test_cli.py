@@ -274,6 +274,15 @@ def test_usage_errors(capsys):
     assert captured.out == "" and "exceeds bound" in captured.err
 
 
+def test_repeated_point_line_is_refused(capsys, tmp_path):
+    path = tmp_path / "twice.pts"
+    path.write_text("3 1\n0 0\n0 0\n")
+    assert main(["directions", "--set", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: repeated point line '0 0'\n"
+
+
 def _run_python(args):
     """A fresh interpreter with the package's source on PYTHONPATH."""
     import subprocess

@@ -206,6 +206,11 @@ def test_point_set_file_round_trip(tmp_path, unit_square):
         AffinePointSet.from_text("5 1\n0\n")
     with pytest.raises(ValueError):
         AffinePointSet.from_text("5 1\n9 0\n")
+    # a repeated point line would load a smaller set than the one written
+    with pytest.raises(ValueError, match="repeated point line '0  0'"):
+        AffinePointSet.from_text("3 1\n0 0\n1 2\n0  0   # again\n")
+    # internal callers may still pass a point twice
+    assert len(AffinePointSet.of(make_field(3, 1), [(0, 0), (0, 0)])) == 1
 
 
 def test_line_congruence_rejects_trivial_explicit_modulus(unit_square):

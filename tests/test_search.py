@@ -3,16 +3,20 @@ import itertools
 import json
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from dirsets.field import make_field
-from dirsets.geometry import AffinePointSet, apply_collineation, directions_of
-from dirsets.analysis import STATEMENTS
-from dirsets.search import (CompletionQuery, SearchConfig, canonical_form,
-                            complete_set, enumerate_sets, hunt, is_maximal,
-                            point_code, point_from_code, sweep, _CSV_COLUMNS)
+from dirsets.geometry import (AffinePointSet, apply_collineation, directions_of,
+                              line_profile)
+from dirsets.analysis import STATEMENTS, verify_statement
+from dirsets.redei import SlopeTable
+from dirsets.search import (N_SHARDS, CompletionQuery, SearchConfig,
+                            canonical_form, complete_set, enumerate_sets, hunt,
+                            is_maximal, point_code, point_from_code, sweep,
+                            _CSV_COLUMNS, _set_hash)
 from conftest import random_point_set
 
 
@@ -64,15 +68,17 @@ def test_enumerate_exhaustive_counts():
     cfg = SearchConfig(q=3, n_min=0, n_max=9)
     total = sum(1 for _ in enumerate_sets(cfg))
     assert total == 512
-    sizes = [len(U) for U in enumerate_sets(SearchConfig(q=3, n_min=2, n_max=3))]
+    sizes = [len(codes)
+             for codes in enumerate_sets(SearchConfig(q=3, n_min=2, n_max=3))]
     assert sizes.count(2) == 36 and sizes.count(3) == 84
 
 
 def test_enumerate_random_is_seeded():
     cfg = SearchConfig(q=4, n_min=1, n_max=6, mode="random", seed=5, budget=30)
-    a = [tuple(sorted(U.points)) for U in enumerate_sets(cfg)]
-    b = [tuple(sorted(U.points)) for U in enumerate_sets(cfg)]
+    a = list(enumerate_sets(cfg))
+    b = list(enumerate_sets(cfg))
     assert a == b and len(a) == 30
+    assert all(codes == tuple(sorted(set(codes))) for codes in a)
 
 
 def test_symmetry_reduction_counts():
@@ -143,8 +149,7 @@ def test_canonical_form_matches_group_scan(q, params, count):
 def test_symmetry_representatives_are_pinned(q, n_max, count, digest):
     # digests of the representative stream of the full-group orbit filter
     cfg = SearchConfig(q=q, n_min=0, n_max=n_max, symmetry=True)
-    reps = [tuple(sorted(point_code(q, p) for p in U.points))
-            for U in enumerate_sets(cfg)]
+    reps = list(enumerate_sets(cfg))
     assert len(reps) == count
     assert hashlib.sha256(json.dumps(reps).encode()).hexdigest() == digest
 
@@ -294,11 +299,11 @@ def test_point_codes_round_trip():
 
 def test_symmetry_representatives_cover_all_orbits(gf2):
     cfg = SearchConfig(q=2, n_min=0, n_max=4, symmetry=True)
-    reps = [tuple(sorted(point_code(2, p) for p in U.points))
-            for U in enumerate_sets(cfg)]
+    reps = list(enumerate_sets(cfg))
     assert len(reps) == len(set(reps))
     full = SearchConfig(q=2, n_min=0, n_max=4)
-    canon = {canonical_form(U) for U in enumerate_sets(full)}
+    canon = {canonical_form(pts(gf2, [point_from_code(2, c) for c in codes]))
+             for codes in enumerate_sets(full)}
     assert set(reps) == canon
 
 
@@ -356,3 +361,143 @@ def test_successive_sweeps_do_not_share_the_slope_memo(monkeypatch):
     # one division per profile within a sweep, all of them again in the next
     assert len(set(first_calls)) == len(first_calls) == len(memos[0])
     assert profiles[len(first_calls):] == first_calls
+
+
+@pytest.mark.parametrize("q,n_max,symmetry,step", [
+    (2, 4, False, 1), (2, 4, True, 1), (3, 9, False, 1), (3, 9, True, 1),
+    (4, 6, False, 1), (4, 6, True, 1), (4, 6, False, 2),
+    (5, 4, False, 1), (7, 3, False, 1), (8, 3, False, 1), (9, 3, False, 1)])
+def test_walk_tables_match_profiles_from_scratch(monkeypatch, q, n_max,
+                                                 symmetry, step):
+    # the exhaustive sweep reads each table of two points or more off
+    # line counts it updates point by point; as each is built, every
+    # profile and D must equal what the set's own points give.  step 2
+    # runs the first of two workers, whose walk skips the other's sets
+    from dirsets import search
+
+    built, walked = Counter(), Counter()
+
+    class Checked(search.SlopeTable):
+        def __init__(self, U, memo=None):
+            super().__init__(U, memo)
+            built[len(U)] += 1
+
+        @classmethod
+        def _with_lines(cls, U, dirs, count, *args):
+            table = super()._with_lines(U, dirs, count, *args)
+            for y in range(q + 1):
+                assert table.profile(y) == line_profile(U, y), (sorted(U), y)
+            assert table.dirs == directions_of(U), sorted(U)
+            walked[len(U)] += 1
+            return table
+
+    monkeypatch.setattr(search, "SlopeTable", Checked)
+    # a sweep builds tables only when something reads them; this statement
+    # is inapplicable, and cheap, off |U| = q
+    cfg = SearchConfig(q=q, n_max=n_max, symmetry=symmetry,
+                       statements=("size-q-trichotomy",))
+    _, count, _ = search._sweep_shards(cfg, range(0, N_SHARDS, step), False)
+    assert sum(built.values()) == count
+    assert built - walked == Counter({n: built[n] for n in (0, 1) if built[n]})
+    if step == 1:
+        streamed = Counter(len(codes) for codes in enumerate_sets(cfg))
+        assert built == streamed
+    if not symmetry:
+        assert count == sum(1 for codes in enumerate_sets(cfg)
+                            if _set_hash(q, codes) % N_SHARDS % step == 0)
+
+
+def test_exhaustive_sweep_counts_no_profile_from_scratch(monkeypatch):
+    # past one point, every statement and every CSV row of an exhaustive
+    # sweep reads D and the profiles off the walk
+    from dirsets import geometry
+
+    sizes = []
+    for name in ("line_profile", "directions_of"):
+        real = getattr(geometry, name)
+
+        def counted(U, *args, real=real):
+            sizes.append(len(U))
+            return real(U, *args)
+        monkeypatch.setattr(geometry, name, counted)
+    theorems = tuple(s for s in STATEMENTS if not s.startswith("conj-"))
+    report = sweep(SearchConfig(q=4, n_max=6, statements=theorems),
+                   collect_rows=True)
+    assert report.sets_examined == 14893 and not report.failed
+    assert sizes and max(sizes) <= 1
+
+
+def test_one_point_stream_takes_no_walk(monkeypatch):
+    # sets of 0 or 1 points determine nothing and take the from-scratch
+    # path, so a stream that stops at n = 1 never starts the walk; its
+    # tallies are those of tables built from scratch.  power-membership,
+    # which divides 64 slopes per set here, is left out for time
+    from dirsets import search
+
+    def refuse(self, codes):
+        raise AssertionError(f"walk started on {codes}")
+
+    monkeypatch.setattr(search._Walk, "lines", refuse)
+    statements = tuple(s for s in STATEMENTS if s != "power-membership")
+    cfg = SearchConfig(q=64, n_max=1, statements=statements)
+    report = sweep(cfg)
+    assert report.sets_examined == 1 + 64 * 64
+    F = cfg.field()
+    tallies = {s: {"pass": 0, "fail": 0, "inapplicable": 0} for s in statements}
+    for codes in [()] + [(c,) for c in range(64 * 64)]:
+        table = SlopeTable(pts(F, [point_from_code(64, c) for c in codes]))
+        for stmt in statements:
+            verdict = verify_statement(stmt, table)
+            key = ("inapplicable" if not verdict.applicable
+                   else "pass" if verdict.holds else "fail")
+            tallies[stmt][key] += 1
+    assert report.tallies == tallies
+
+
+@pytest.mark.parametrize("q,n_max,sets", [(256, 2, 3), (32, 3, 9)])
+def test_symmetry_walk_counts_only_the_codes_it_visits(monkeypatch, q, n_max,
+                                                       sets):
+    # a symmetry stream at large q holds a handful of representatives;
+    # the walk computes the intercepts of their points once each, never
+    # of all q^2 points
+    from dirsets import search
+
+    computed = []
+    real = search._Rows.__missing__
+
+    def counted(self, c):
+        computed.append(c)
+        return real(self, c)
+
+    monkeypatch.setattr(search._Rows, "__missing__", counted)
+    cfg = SearchConfig(q=q, n_max=n_max, symmetry=True,
+                       statements=("thm-m", "moduli-order", "line-congruence"))
+    report = sweep(cfg)
+    assert report.sets_examined == sets and not report.failed
+    visited = {c for codes in enumerate_sets(cfg) if len(codes) >= 2
+               for c in codes}
+    assert sorted(computed) == sorted(visited)
+
+
+def test_statement_free_sweep_builds_no_table(monkeypatch):
+    # with no statement and no CSV rows nothing reads a set's table, so
+    # the sweep only counts the sets of its shards
+    from dirsets import search
+
+    def refuse(*args):
+        raise AssertionError("table built for a statement-free sweep")
+
+    monkeypatch.setattr(search, "SlopeTable", refuse)
+    assert sweep(SearchConfig(q=4, n_max=3, workers=1)).sets_examined == 697
+
+
+def test_walk_table_reads_no_profile_after_the_walk_moves():
+    from dirsets import search
+
+    F = make_field(5, 1)
+    walk = search._Walk(F)
+    U, dirs, count = walk.lines((0, 1, 7))
+    assert count(0) == line_profile(U, 0) and dirs == directions_of(U)
+    walk.lines((0, 1, 8))
+    with pytest.raises(RuntimeError, match="moved past"):
+        count(0)
