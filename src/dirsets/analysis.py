@@ -38,6 +38,7 @@ All bound arithmetic is exact (integers and fractions); no floats.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,8 +120,28 @@ def _cmp(label, lhs, rel, rhs) -> Check:
     return Check(label, lhs, rel, rhs, _RELATIONS[rel](lhs, rhs))
 
 
+@functools.cache
 def _inapplicable(stmt: str, why: str) -> Verdict:
+    """One shared verdict per (statement, reason): Verdict is frozen and
+    its fields are tuples, and a reason names at most q, so the cache stays
+    small while most verdicts of a sweep are inapplicable."""
     return Verdict(stmt, False, notes=(why,))
+
+
+def _linearity_check(table: SlopeTable, s: int, witness: str):
+    """The "subfield linear" check of the set for modulus s, and its notes:
+    the witness generators (labelled witness) of a GF(s)-linear set, or
+    why linearity is impossible when s is not a subfield order."""
+    F = table.field
+    notes = ()
+    if s in subfield_orders(F):
+        linear, found = is_subfield_linear(F, table.U.points, s)
+        if linear:
+            notes = (f"{witness}: {sorted(found[0])}",)
+    else:
+        linear = False
+        notes = ("modulus is not a subfield order; linearity impossible",)
+    return Check("subfield linear", "set", "is", f"GF({s})-linear", linear), notes
 
 
 # -- the trichotomy through both moduli ------------------------------------
@@ -216,7 +237,7 @@ def classify_size_q_trichotomy(U) -> Verdict:
     s = table.geo.modulus
     D = len(table.dirs)
     checks = []
-    notes = []
+    notes = ()
     if s == 1:
         case = 1
         checks.append(_cmp("lower bound", Fraction(q + 3, 2), "<=", Fraction(D)))
@@ -231,17 +252,9 @@ def classify_size_q_trichotomy(U) -> Verdict:
         checks.append(_cmp("lower bound", q // s + 1, "<=", D))
         checks.append(_cmp("upper bound", D, "<=", Fraction(q - 1, s - 1)))
     if s > 2:
-        if s in subfield_orders(table.field):
-            linear, witness = is_subfield_linear(table.field, table.U.points, s)
-            checks.append(Check("subfield linear", "set", "is",
-                                f"GF({s})-linear", linear))
-            if linear:
-                notes.append(f"linearity witness generators: {sorted(witness[0])}")
-        else:
-            checks.append(Check("subfield linear", "set", "is",
-                                f"GF({s})-linear", False))
-            notes.append("modulus is not a subfield order; linearity impossible")
-    return Verdict(stmt, True, case, tuple(checks), tuple(notes))
+        check, notes = _linearity_check(table, s, "linearity witness generators")
+        checks.append(check)
+    return Verdict(stmt, True, case, tuple(checks), notes)
 
 
 # -- the prime-order dichotomy -----------------------------------------------
@@ -445,22 +458,12 @@ def conjecture_maximal_linearity(U) -> Verdict:
     gate = _conjecture_gate(table, stmt)
     if gate:
         return gate
-    F = table.field
     s = table.geo.modulus
     t = table.algebraic_modulus
     if not (s == t and s > 2):
         return _inapplicable(stmt, f"hypothesis unmet: moduli {s} and {t}")
-    notes = []
-    if s in subfield_orders(F):
-        linear, witness = is_subfield_linear(F, table.U.points, s)
-        if linear:
-            notes.append(f"witness generators: {sorted(witness[0])}")
-    else:
-        linear = False
-        notes.append("modulus is not a subfield order; linearity impossible")
-    return Verdict(stmt, True, None,
-                   (Check("subfield linear", "set", "is", f"GF({s})-linear", linear),),
-                   tuple(notes))
+    check, notes = _linearity_check(table, s, "witness generators")
+    return Verdict(stmt, True, None, (check,), notes)
 
 
 STATEMENTS = {

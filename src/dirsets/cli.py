@@ -14,6 +14,7 @@ byte-identical output; wall-clock timing is only included on request
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -24,7 +25,8 @@ from .geometry import AffinePointSet, directions_of, format_direction
 from .redei import SlopeTable, redei_system
 from .linsets import (ProjectiveLinearSpec, direction_code_of_projective,
                       plane_set, project_subgeometry, realize_direction_set)
-from .analysis import STATEMENTS, section5_reports, verify_statement
+from .analysis import (CONJECTURES, STATEMENTS, section5_reports,
+                       verify_statement)
 from .search import (CompletionQuery, SearchConfig, complete_set, hunt, sweep,
                      _CSV_COLUMNS)
 
@@ -34,31 +36,23 @@ _EXIT_COUNTEREXAMPLE = 2
 _EXIT_ALARM = 3
 
 
-def _field_header(field):
-    return {"p": field.p, "h": field.h, "q": field.q,
-            "modulus": list(field.modulus)}
-
-
-def _emit_json(out, verb, config, field, result):
-    doc = {"tool": "dirsets", "version": __version__, "verb": verb,
-           "config": config, "result": result}
-    if field is not None:
-        doc["field"] = _field_header(field)
-    out.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-
-
-def _emit_text_header(out, verb, config, field):
+def _emit(out, verb, config, field, result, lines):
+    """Write a verb's output in config["format"]: the JSON document around
+    result, or (text and csv) the comment header followed by lines."""
+    if config["format"] == "json":
+        doc = {"tool": "dirsets", "version": __version__, "verb": verb,
+               "config": config, "result": result}
+        if field is not None:
+            doc["field"] = {"p": field.p, "h": field.h, "q": field.q,
+                            "modulus": list(field.modulus)}
+        out.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        return
     out.write(f"# dirsets {__version__} :: {verb}\n")
     if field is not None:
         out.write(f"# field {field} modulus {list(field.modulus)}\n")
     out.write(f"# config {json.dumps(config, sort_keys=True)}\n")
-
-
-def _emit_csv(out, verb, config, field, columns, rows):
-    _emit_text_header(out, verb, config, field)
-    out.write(",".join(columns) + "\n")
-    for row in rows:
-        out.write(",".join(map(str, row)) + "\n")
+    for line in lines:
+        out.write(line + "\n")
 
 
 def _load_set(path) -> AffinePointSet:
@@ -73,12 +67,9 @@ def _cmd_directions(args, out):
     config = {"set": args.set, "format": args.format}
     result = {"directions": list(dirs.tokens()), "count": len(dirs),
               "points": len(U)}
-    if args.format == "json":
-        _emit_json(out, "directions", config, U.field, result)
-    else:
-        _emit_text_header(out, "directions", config, U.field)
-        out.write(f"D = {{{', '.join(result['directions'])}}}\n")
-        out.write(f"|D| = {result['count']}\n")
+    _emit(out, "directions", config, U.field, result,
+          [f"D = {{{', '.join(result['directions'])}}}",
+           f"|D| = {result['count']}"])
     return _EXIT_OK
 
 
@@ -118,19 +109,15 @@ def _cmd_invariants(args, out):
         result["t"] = None
         result["note"] = "no determined direction: moduli undefined"
     result["per_direction"] = table
-    if args.format == "json":
-        _emit_json(out, "invariants", config, F, result)
-    else:
-        _emit_text_header(out, "invariants", config, F)
-        out.write(f"|U| = {result['points']}, |D| = {result['direction_count']}\n")
-        out.write(f"s = {result.get('s')}, t = {result.get('t')}, "
-                  f"degXH = {result.get('degXH', '')}\n")
-        for row in table:
-            out.write(f"  dir {row['direction']}: s(y)={row['s_y']}"
-                      f" t(y)={row.get('t_y', '')} deg_f={row.get('deg_f', '')}"
-                      f" kappa={row.get('kappa', '')}\n")
-        if "note" in result:
-            out.write(f"note: {result['note']}\n")
+    lines = [f"|U| = {result['points']}, |D| = {result['direction_count']}",
+             f"s = {result.get('s')}, t = {result.get('t')}, "
+             f"degXH = {result.get('degXH', '')}"]
+    lines += [f"  dir {row['direction']}: s(y)={row['s_y']}"
+              f" t(y)={row.get('t_y', '')} deg_f={row.get('deg_f', '')}"
+              f" kappa={row.get('kappa', '')}" for row in table]
+    if "note" in result:
+        lines.append(f"note: {result['note']}")
+    _emit(out, "invariants", config, F, result, lines)
     return _EXIT_OK
 
 
@@ -142,13 +129,9 @@ def _cmd_redei(args, out):
               "quotient": [list(t) for t in sys_.quotient.terms()],
               "tail": [list(t) for t in sys_.tail.terms()],
               "degXH": sys_.deg_x_tail()}
-    if args.format == "json":
-        _emit_json(out, "redei", config, U.field, result)
-    else:
-        _emit_text_header(out, "redei", config, U.field)
-        out.write(f"R = {sys_.redei.render()}\n")
-        out.write(f"Q = {sys_.quotient.render()}\n")
-        out.write(f"T = {sys_.tail.render()}   (R*Q = X^q + T)\n")
+    _emit(out, "redei", config, U.field, result,
+          [f"R = {sys_.redei.render()}", f"Q = {sys_.quotient.render()}",
+           f"T = {sys_.tail.render()}   (R*Q = X^q + T)"])
     return _EXIT_OK
 
 
@@ -156,21 +139,16 @@ def _cmd_verify(args, out):
     U = _load_set(args.set)
     verdict = verify_statement(args.statement, U)
     config = {"set": args.set, "statement": args.statement, "format": args.format}
-    if args.format == "json":
-        _emit_json(out, "verify", config, U.field, verdict.as_dict())
+    if not verdict.applicable:
+        lines = [f"{args.statement}: not applicable ({'; '.join(verdict.notes)})"]
     else:
-        _emit_text_header(out, "verify", config, U.field)
-        if not verdict.applicable:
-            out.write(f"{args.statement}: not applicable ({'; '.join(verdict.notes)})\n")
-        else:
-            case = f" case {verdict.case}" if verdict.case is not None else ""
-            out.write(f"{args.statement}:{case} "
-                      f"{'holds' if verdict.holds else 'FAILED'}\n")
-            for c in verdict.checks:
-                mark = "ok" if c.holds else "FAIL"
-                out.write(f"  [{mark}] {c.label}: {c.lhs} {c.rel} {c.rhs}\n")
-            for note in verdict.notes:
-                out.write(f"  note: {note}\n")
+        case = f" case {verdict.case}" if verdict.case is not None else ""
+        lines = [f"{args.statement}:{case} "
+                 f"{'holds' if verdict.holds else 'FAILED'}"]
+        lines += [f"  [{'ok' if c.holds else 'FAIL'}] {c.label}: "
+                  f"{c.lhs} {c.rel} {c.rhs}" for c in verdict.checks]
+        lines += [f"  note: {note}" for note in verdict.notes]
+    _emit(out, "verify", config, U.field, verdict.as_dict(), lines)
     if verdict.applicable and not verdict.holds:
         return _EXIT_COUNTEREXAMPLE
     return _EXIT_OK
@@ -200,13 +178,9 @@ def _cmd_realize(args, out):
         support_codes = sorted(direction_code_of_projective(field, p)
                                for p in image.support())
         result["round_trip"] = sorted(dirs.determined) == support_codes
-    if args.format == "json":
-        _emit_json(out, "realize", config, field, result)
-    else:
-        _emit_text_header(out, "realize", config, field)
-        out.write(f"{field.p} {field.h}\n")
-        for p in sorted(pts):
-            out.write(" ".join(str(c) for c in p) + "\n")
+    _emit(out, "realize", config, field, result,
+          [f"{field.p} {field.h}"]
+          + [" ".join(str(c) for c in p) for p in sorted(pts)])
     if args.out_set:
         if pspec.n != 1:
             raise ValueError("--out-set needs a plane target (n = 1)")
@@ -245,21 +219,19 @@ def _search_config(args) -> SearchConfig:
 
 def _emit_report(out, verb, config, report, timing: bool) -> int:
     """Write a search or hunt report; the exit code says whether it failed."""
-    field = report.config.field()
-    fmt = config["format"]
-    if fmt == "csv":
-        _emit_csv(out, verb, config, field, _CSV_COLUMNS, report.rows)
-    elif fmt == "json":
-        _emit_json(out, verb, config, field, report.as_dict(include_timing=timing))
+    if config["format"] == "csv":
+        lines = itertools.chain([",".join(_CSV_COLUMNS)],
+                                (",".join(map(str, row)) for row in report.rows))
     else:
-        _emit_text_header(out, verb, config, field)
-        out.write(f"sets examined: {report.sets_examined}\n")
-        for stmt, counts in sorted(report.tallies.items()):
-            out.write(f"  {stmt}: pass={counts['pass']} fail={counts['fail']} "
-                      f"inapplicable={counts['inapplicable']}\n")
-        out.write(f"counterexamples: {len(report.counterexamples)}\n")
+        lines = [f"sets examined: {report.sets_examined}"]
+        lines += [f"  {stmt}: pass={counts['pass']} fail={counts['fail']} "
+                  f"inapplicable={counts['inapplicable']}"
+                  for stmt, counts in sorted(report.tallies.items())]
+        lines.append(f"counterexamples: {len(report.counterexamples)}")
         if timing:
-            out.write(f"wall_ms: {report.wall_ms:.1f}\n")
+            lines.append(f"wall_ms: {report.wall_ms:.1f}")
+    _emit(out, verb, config, report.config.field(),
+          report.as_dict(include_timing=timing), lines)
     return _EXIT_COUNTEREXAMPLE if report.failed else _EXIT_OK
 
 
@@ -293,16 +265,13 @@ def _cmd_complete(args, out):
     doc = {"extensions": [[list(p) for p in ext] for ext in result.extensions],
            "hypotheses_hold": result.hypotheses_hold,
            "alarm": result.alarm}
-    if args.format == "json":
-        _emit_json(out, "complete", config, U.field, doc)
-    else:
-        _emit_text_header(out, "complete", config, U.field)
-        out.write(f"hypotheses hold: {result.hypotheses_hold}\n")
-        out.write(f"extensions found: {len(result.extensions)}\n")
-        for ext in result.extensions:
-            out.write("  " + " ".join(f"({a},{b})" for a, b in ext) + "\n")
-        if result.alarm:
-            out.write("ALARM: hypotheses hold but no completion exists\n")
+    lines = [f"hypotheses hold: {result.hypotheses_hold}",
+             f"extensions found: {len(result.extensions)}"]
+    lines += ["  " + " ".join(f"({a},{b})" for a, b in ext)
+              for ext in result.extensions]
+    if result.alarm:
+        lines.append("ALARM: hypotheses hold but no completion exists")
+    _emit(out, "complete", config, U.field, doc, lines)
     return _EXIT_ALARM if result.alarm else _EXIT_OK
 
 
@@ -317,12 +286,9 @@ def _cmd_examples(args, out):
            and nm["linear_set_is_subfield_linear"]
            and nm["minimal_subset_same_directions"])
     doc = {"reports": _plain(report), "all_expected_properties": ok}
-    if args.format == "json":
-        _emit_json(out, "examples", config, None, doc)
-    else:
-        _emit_text_header(out, "examples", config, None)
-        out.write(json.dumps(_plain(report), sort_keys=True, indent=1) + "\n")
-        out.write(f"all expected properties: {ok}\n")
+    _emit(out, "examples", config, None, doc,
+          [json.dumps(doc["reports"], sort_keys=True, indent=1),
+           f"all expected properties: {ok}"])
     return _EXIT_OK if ok else _EXIT_COUNTEREXAMPLE
 
 
@@ -399,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_search)
 
     s = subs.add_parser("hunt", help="conjecture counterexample hunt over maximal sets")
-    s.add_argument("--conjecture", required=True, choices=("conj-moduli-match", "conj-maximal-linear"))
+    s.add_argument("--conjecture", required=True, choices=CONJECTURES)
     _add_search_flags(s)
     _add_format(s)
     s.set_defaults(fn=_cmd_hunt)

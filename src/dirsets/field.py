@@ -42,6 +42,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _digits(code: int, p: int, n: int) -> list:
+    """The n lowest base-p digits of code, least significant first."""
+    out = []
+    for _ in range(n):
+        out.append(code % p)
+        code //= p
+    return out
+
+
+def _from_digits(digits, p: int) -> int:
+    """The code with these base-p digits, least significant first."""
+    out = 0
+    for d in reversed(digits):
+        out = out * p + d
+    return out
+
+
 def _gfp_polymod(num, den, p):
     """Remainder of num by den over GF(p); coefficient lists, low degree first."""
     num = list(num)
@@ -64,13 +81,7 @@ def _gfp_irreducible(coeffs, p):
     h = len(coeffs) - 1
     for d in range(1, h // 2 + 1):
         for code in range(p ** d):
-            div = []
-            c = code
-            for _ in range(d):
-                div.append(c % p)
-                c //= p
-            div.append(1)
-            if not _gfp_polymod(coeffs, div, p):
+            if not _gfp_polymod(coeffs, _digits(code, p, d) + [1], p):
                 return False
     return True
 
@@ -113,15 +124,9 @@ class Field:
     def _find_modulus(self):
         p, h = self.p, self.h
         for code in range(p ** h):
-            coeffs = []
-            c = code
-            for _ in range(h):
-                coeffs.append(c % p)
-                c //= p
             # low-degree-first lexicographic order wants the constant term to
             # vary slowest, which is the reverse of base-p digit order
-            coeffs = coeffs[::-1]
-            cand = tuple(coeffs) + (1,)
+            cand = tuple(reversed(_digits(code, p, h))) + (1,)
             if _gfp_irreducible(cand, p):
                 return cand
         raise SoundnessError("no irreducible modulus found")  # pragma: no cover
@@ -131,15 +136,8 @@ class Field:
         if p == 2:
             self._neg_t = None
             return
-        neg = [0] * q
-        for a in range(q):
-            c, out, mult = a, 0, 1
-            for _ in range(self.h):
-                out += ((p - c % p) % p) * mult
-                c //= p
-                mult *= p
-            neg[a] = out
-        self._neg_t = neg
+        self._neg_t = [_from_digits([-d % p for d in _digits(a, p, self.h)], p)
+                       for a in range(q)]
 
     def _digit_add(self, a: int, b: int) -> int:
         p = self.p
@@ -161,29 +159,15 @@ class Field:
 
     def _raw_mul(self, a: int, b: int) -> int:
         """Polynomial-basis product, used only while building the log tables."""
-        p, h, mod = self.p, self.h, self.modulus
-        da = [0] * h
-        c = a
-        for i in range(h):
-            da[i] = c % p
-            c //= p
-        db = [0] * h
-        c = b
-        for i in range(h):
-            db[i] = c % p
-            c //= p
+        p, h = self.p, self.h
+        db = _digits(b, p, h)
         prod = [0] * (2 * h - 1)
-        for i, x in enumerate(da):
+        for i, x in enumerate(_digits(a, p, h)):
             if x:
                 for j, y in enumerate(db):
                     if y:
                         prod[i + j] = (prod[i + j] + x * y) % p
-        prod = _gfp_polymod(prod, list(mod), p)
-        out, mult = 0, 1
-        for d in prod:
-            out += d * mult
-            mult *= p
-        return out
+        return _from_digits(_gfp_polymod(prod, self.modulus, p), p)
 
     def _raw_pow(self, a: int, e: int) -> int:
         out, base = 1, a
@@ -274,22 +258,15 @@ class Field:
 
     def coeffs(self, a: int):
         """Base-p digits of the code = coefficients on the polynomial basis."""
-        out = []
-        for _ in range(self.h):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
+        return tuple(_digits(a, self.p, self.h))
 
     def from_coeffs(self, coeffs) -> int:
         if len(coeffs) != self.h:
             raise ValueError(f"expected {self.h} coefficients")
-        out, mult = 0, 1
         for c in coeffs:
             if not 0 <= c < self.p:
                 raise ValueError(f"coefficient {c} out of range")
-            out += c * mult
-            mult *= self.p
-        return out
+        return _from_digits(coeffs, self.p)
 
     # -- identity ------------------------------------------------------------
 
@@ -320,10 +297,6 @@ def make_field(p: int, h: int, max_order: int = DEFAULT_MAX_ORDER) -> Field:
     The order bound protects the enumeration-based operations elsewhere in
     the package; raise it explicitly if you know what you are doing.
     """
-    if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if h < 1:
-        raise ValueError(f"h = {h} must be positive")
     if p ** h > max_order:
         raise ValueError(f"field order {p}^{h} exceeds bound {max_order}")
     return _cached_field(p, h)

@@ -23,21 +23,12 @@ __all__ = [
     "AffinePointSet", "DirectionSet", "GeometricInvariants", "LineCongruence",
     "LineTable", "direction_of", "directions_of", "line_profile", "direction_modulus",
     "geometric_invariants", "check_line_congruence", "apply_collineation",
-    "extension_points", "is_maximal", "format_direction", "parse_direction",
+    "extension_points", "is_maximal", "format_direction",
 ]
 
 
 def format_direction(field: Field, d: int) -> str:
     return "inf" if d == field.q else str(d)
-
-
-def parse_direction(field: Field, token: str) -> int:
-    if token == "inf":
-        return field.q
-    d = int(token)
-    if not 0 <= d < field.q:
-        raise ValueError(f"direction code {d} outside [0, {field.q}]")
-    return d
 
 
 @dataclass(frozen=True)
@@ -207,15 +198,11 @@ class LineTable:
 
     @classmethod
     def of(cls, U):
-        """U itself when it is already a table of this kind; from another
-        table, a new one that shares its profiles and the facts it kept."""
+        """U itself when it is already a table of this kind, else a new
+        table of U's point set (U a point set or another table)."""
         if isinstance(U, cls):
             return U
-        if not isinstance(U, LineTable):
-            return cls(U)
-        table = cls(U.U)
-        vars(table).update(vars(U))
-        return table
+        return cls(U.U if isinstance(U, LineTable) else U)
 
     @classmethod
     def _with_lines(cls, U, dirs: DirectionSet, count, *args):

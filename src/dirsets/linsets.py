@@ -351,20 +351,10 @@ def is_subfield_linear(F: Field, pts, s: int):
 
 
 def relative_basis(F: Field, s: int):
-    """A basis of GF(q) as a vector space over its order-s subfield."""
-    scalars = subfield_elements(F, s)
-    basis = []
-    span = {0}
-    for a in range(1, F.q):
-        if a in span:
-            continue
-        basis.append(a)
-        span = {F.add(x, F.mul(c, a)) for x in span for c in scalars}
-        if len(span) == F.q:
-            break
-    if len(span) != F.q:  # pragma: no cover
-        raise SoundnessError("relative basis construction failed")
-    return tuple(basis)
+    """A basis of GF(q) as a vector space over its order-s subfield: the
+    greedy independent subset of the nonzero codes in ascending order."""
+    gens = _independent_generators(F, s, [(a,) for a in range(1, F.q)])
+    return tuple(a for (a,) in gens)
 
 
 def subfield_subspaces(F: Field, s: int, ranks):

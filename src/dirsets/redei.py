@@ -20,8 +20,9 @@ set that the statements read, computes the specializations one slope at
 a time.  R(X,y) = prod over c of (X + c)^(m_c) is read off the line
 profile of slope y, m_c points lying on the line of intercept c, and
 likewise for the vertical direction q (lines X = c), so what a slope
-yields depends only on its profile, and a sweep's tables share it
-through one slope memo keyed by the profile.  t and deg_X T are affine
+yields depends only on its profile (the outcome of power-membership's
+checks at the slope included), and a sweep's tables share it through
+one slope memo keyed by the profile.  t and deg_X T are affine
 invariants (see SlopeTable), so no direction is moved to the vertical
 one first.  RedeiSystem serves the `redei` verb and is the
 reference the tests compare the table against.
@@ -346,13 +347,14 @@ SLOPE_MEMO_CAP = 1 << 14
 
 
 class _SlopeAlgebra:
-    """What a line profile fixes: T(X,y), its TailData, kappa(y) and
-    (R(X,y), Q(X,y)), each None until first read."""
+    """What a line profile fixes: T(X,y), its TailData, kappa(y) and the
+    power-membership outcome (determined, ok, note) of slope y, each None
+    until first read."""
 
-    __slots__ = ("tail", "power", "kappa", "specialization")
+    __slots__ = ("tail", "power", "kappa", "membership")
 
     def __init__(self):
-        self.tail = self.power = self.kappa = self.specialization = None
+        self.tail = self.power = self.kappa = self.membership = None
 
 
 class SlopeTable(LineTable):
@@ -361,11 +363,15 @@ class SlopeTable(LineTable):
 
     R(X,y) = prod over c of (X + c)^(m_c) depends only on q and the
     profile (m_0, ..., m_(q-1)) of direction y, and so do T(X,y), Q(X,y),
-    t(y), the power root, deg T(X,y) and kappa(y).  They are kept in a
-    slope memo keyed by the profile tuple and filled on first read.  A
-    sweep passes one memo to every table it builds, so a profile that
-    recurs across sets is divided out once; a table built without one
-    gets its own.  A memo serves one field.  It stores at most
+    t(y), the power root, deg T(X,y) and kappa(y).  So does the outcome of
+    power-membership at slope y: y is determined iff some m_c >= 2, its
+    geometric modulus is gcd(q, m_0, ..., m_(q-1)), the sharper quotient
+    bound depends on |U| = m_0 + ... + m_(q-1), and the checks read only
+    R(X,y), Q(X,y) and T(X,y).  T(X,y), its TailData, kappa(y) and that
+    outcome are kept in a slope memo keyed by the profile tuple and
+    filled on first read.  A sweep passes one memo to every table it
+    builds, so a profile that recurs across sets is divided out once; a
+    table built without one gets its own.  A memo serves one field.  It stores at most
     SLOPE_MEMO_CAP profiles; past that, a read of a new profile computes
     what it needs and stores nothing.  The checks that involve the set
     itself (|U| <= q, y determined, no -X tail on a determined direction,
@@ -449,13 +455,11 @@ class SlopeTable(LineTable):
         return k
 
     def specialization(self, y: int):
-        """(R(X,y), Q(X,y)) with Q(X,y) the quotient of X^q - X by R(X,y)."""
-        entry = self._algebra(y)
-        if entry.specialization is None:
-            F = self.field
-            r_y = specialized_redei(self, y)
-            entry.specialization = r_y, polys.p_div(F, x_power_minus_x(F), r_y)
-        return entry.specialization
+        """(R(X,y), Q(X,y)) with Q(X,y) the quotient of X^q - X by R(X,y);
+        not kept, since power-membership keeps its outcome instead."""
+        F = self.field
+        r_y = specialized_redei(self, y)
+        return r_y, polys.p_div(F, x_power_minus_x(F), r_y)
 
     @functools.cached_property
     def algebraic_modulus(self) -> int:
@@ -523,27 +527,33 @@ def check_specialized_membership(U) -> MembershipCheck:
     """For determined slopes both Q(X,y) and T(X,y) lie in GF(q)[X^m] for
     the slope modulus m, and Q(X,y) avoids GF(q)[X^(p m)] whenever
     deg R <= deg Q.  For undetermined slopes R(X,y) Q(X,y) = X^q - X and
-    Q(X,y) splits into distinct linear factors."""
+    Q(X,y) splits into distinct linear factors.  Each slope's outcome is
+    read from the slope memo (see SlopeTable)."""
     table = SlopeTable.of(U)
-    F = table.field
-    n = len(table.U)
     entries = []
-    sharper = n <= F.q - n
-    for y in range(F.q):
-        r_y, q_y = table.specialization(y)
-        if y in table.dirs.determined:
-            m = table.geo.per_direction[y]
-            ok = in_power_basis(q_y, m) and in_power_basis(table.tail(y), m)
-            note = f"modulus {m}"
-            if sharper:
-                ok = ok and not in_power_basis(q_y, F.p * m)
-                note += ", sharper quotient bound applies"
-            entries.append((y, True, ok, note))
-        else:
-            product_ok = p_mul(F, r_y, q_y) == x_power_minus_x(F)
-            split_ok = polys.splits_into_distinct_roots(F, q_y)
-            entries.append((y, False, product_ok and split_ok, "split check"))
+    for y in range(table.field.q):
+        entry = table._algebra(y)
+        if entry.membership is None:
+            entry.membership = _slope_membership(table, y)
+        entries.append((y,) + entry.membership)
     return MembershipCheck(tuple(entries))
+
+
+def _slope_membership(table: SlopeTable, y: int) -> tuple:
+    """(determined, ok, note) of the membership checks at slope y."""
+    F = table.field
+    r_y, q_y = table.specialization(y)
+    if y in table.dirs.determined:
+        m = table.geo.per_direction[y]
+        ok = in_power_basis(q_y, m) and in_power_basis(table.tail(y), m)
+        note = f"modulus {m}"
+        if len(table.U) <= F.q - len(table.U):
+            ok = ok and not in_power_basis(q_y, F.p * m)
+            note += ", sharper quotient bound applies"
+        return True, ok, note
+    product_ok = p_mul(F, r_y, q_y) == x_power_minus_x(F)
+    split_ok = polys.splits_into_distinct_roots(F, q_y)
+    return False, product_ok and split_ok, "split check"
 
 
 def check_power_span(U, modulus: int):

@@ -40,7 +40,7 @@ from .field import Field, make_field, prime_power_parts
 from .geometry import (AffinePointSet, DirectionSet, LineTable, direction_of,
                        extension_points, is_maximal)
 from .redei import SlopeTable
-from .analysis import STATEMENTS, verify_statement
+from .analysis import CONJECTURES, STATEMENTS, verify_statement
 
 __all__ = [
     "SearchConfig", "SearchReport", "CompletionQuery", "CompletionResult",
@@ -428,7 +428,7 @@ def _write_replays(cfg: SearchConfig, counterexamples, replay_dir):
 def hunt(cfg: SearchConfig, conjecture: str, replay_dir=None) -> SearchReport:
     """Stream sets, filter to the maximal ones inside the conjecture's own
     applicability gate, and report hypothesis hits and any violations."""
-    if conjecture not in ("conj-moduli-match", "conj-maximal-linear"):
+    if conjecture not in CONJECTURES:
         raise ValueError(f"unknown conjecture {conjecture!r}")
     return sweep(replace(cfg, statements=(conjecture,)), replay_dir=replay_dir)
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -204,3 +205,40 @@ def test_subfield_embedding_is_field_hom():
             for b in range(small.q):
                 assert emb[small.add(a, b)] == F.add(emb[a], emb[b])
                 assert emb[small.mul(a, b)] == F.mul(emb[a], emb[b])
+
+
+def _prime_powers(limit):
+    out = []
+    for q in range(2, limit + 1):
+        try:
+            out.append((q,) + prime_power_parts(q))
+        except ValueError:
+            pass
+    return out
+
+
+def test_field_tables_are_pinned():
+    # every table a field builds from base-p digits, for each prime power
+    # q <= 256: the modulus, negation, digits, and one row each of
+    # multiplication (by the generator x, or by 1 in a prime field) and
+    # addition
+    rows = []
+    for q, p, h in _prime_powers(256):
+        F = make_field(p, h)
+        x = p if h > 1 else 1
+        rows.append((p, h, F.modulus,
+                     tuple(F.neg(a) for a in range(q)),
+                     tuple(F.coeffs(a) for a in range(q)),
+                     tuple(F.mul(x, a) for a in range(q)),
+                     tuple(F.add(a, x) for a in range(q))))
+    assert len(rows) == 70
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == ("148b16f6cc31368e982ab60ce883110f"
+                      "b159fe496f2ec58ee840c3480d6a4935")
+
+
+def test_codec_round_trip_every_small_field():
+    for q, p, h in _prime_powers(256):
+        F = make_field(p, h)
+        for a in range(q):
+            assert F.from_coeffs(F.coeffs(a)) == a

@@ -9,7 +9,7 @@ from dirsets.geometry import (AffinePointSet, apply_collineation,
                               check_line_congruence, direction_modulus,
                               direction_of, directions_of, extension_points,
                               format_direction, geometric_invariants,
-                              is_maximal, line_profile, parse_direction)
+                              is_maximal, line_profile)
 from conftest import random_point_set
 
 
@@ -37,8 +37,6 @@ def test_direction_set_helpers(gf4, unit_square):
     d = directions_of(unit_square)
     assert d.has_infinity and not d.is_all
     assert d.affine() == (0, 1)
-    assert parse_direction(gf4, "inf") == 4
-    assert parse_direction(gf4, "3") == 3
     assert format_direction(gf4, 4) == "inf"
 
 

@@ -463,22 +463,33 @@ def test_normal_form_read_off_the_set_matches_the_image(q):
                        9: 133 + 2 * 170}[q]
 
 
-def test_slope_table_of_a_plain_line_table(gf4, monkeypatch):
-    from dirsets import geometry
+def test_slope_table_of_a_plain_line_table(gf4):
     U = pts(gf4, [(0, 0), (1, 0), (0, 1)])
     expected = (algebraic_invariants(U), check_power_span(U, 2),
                 check_specialized_membership(U))
     lines = LineTable(U)
-    for y in range(gf4.q + 1):
-        lines.profile(y)
-    dirs = lines.dirs
-    monkeypatch.setattr(geometry, "line_profile",
-                        lambda *a: pytest.fail("profile counted twice"))
-    monkeypatch.setattr(geometry, "directions_of",
-                        lambda *a: pytest.fail("directions computed twice"))
     table = SlopeTable.of(lines)
     assert isinstance(table, SlopeTable) and table.U is U
-    assert table._profiles is lines._profiles and table.dirs is dirs
     assert SlopeTable.of(table) is table and LineTable.of(table) is table
     assert (algebraic_invariants(lines), check_power_span(lines, 2),
             check_specialized_membership(lines)) == expected
+
+
+def test_power_membership_checks_each_free_profile_once(monkeypatch):
+    # the outcome at a slope is kept per profile: a free slope's profile at
+    # q = 8 is a 0/1 vector of weight <= 3 over the 8 intercepts, so a
+    # sweep of n <= 3 splits at most sum over k <= 3 of C(8, k) = 93
+    # quotients, not one per free slope per set
+    from dirsets.search import SearchConfig, sweep
+    calls = []
+    real = P.splits_into_distinct_roots
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(P, "splits_into_distinct_roots", counted)
+    report = sweep(SearchConfig(q=8, n_max=3, statements=("power-membership",)))
+    assert report.tallies == {
+        "power-membership": {"pass": 43744, "fail": 0, "inapplicable": 1}}
+    assert 0 < len(calls) <= 93
