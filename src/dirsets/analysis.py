@@ -293,10 +293,10 @@ def classify_prime_dichotomy(U) -> Verdict:
 
 # -- incidence congruence ------------------------------------------------------
 
-def line_congruence_verdict(U, modulus: int | None = None) -> Verdict:
+def line_congruence_verdict(U) -> Verdict:
     table = SlopeTable.of(U)
     stmt = "line-congruence"
-    rep = check_line_congruence(table, modulus)
+    rep = check_line_congruence(table)
     if not rep.applicable:
         why = ("geometric modulus is 1; congruence vacuous" if rep.modulus == 1
                else "no determined direction")
@@ -381,7 +381,7 @@ def moduli_order(U) -> Verdict:
     if len(table.U) > table.field.q:
         return _inapplicable(stmt, "tail system needs at most q points")
     s = table.geo.modulus
-    t = table.algebraic_modulus
+    t = table.alg.modulus
     return Verdict(stmt, True, None, (_cmp("modulus order", s, "<=", t),))
 
 
@@ -459,7 +459,7 @@ def conjecture_maximal_linearity(U) -> Verdict:
     if gate:
         return gate
     s = table.geo.modulus
-    t = table.algebraic_modulus
+    t = table.alg.modulus
     if not (s == t and s > 2):
         return _inapplicable(stmt, f"hypothesis unmet: moduli {s} and {t}")
     check, notes = _linearity_check(table, s, "witness generators")

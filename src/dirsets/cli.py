@@ -162,6 +162,8 @@ def _cmd_realize(args, out):
     pspec = ProjectiveLinearSpec(field, spec_doc["s"], matrix)
     if pspec.d != spec_doc.get("d", pspec.d) or pspec.n != spec_doc.get("n", pspec.n):
         raise ValueError("spec dimensions disagree with the projection matrix")
+    if args.out_set and pspec.n != 1:
+        raise ValueError("--out-set needs a plane target (n = 1)")
     image = project_subgeometry(pspec)
     pts = realize_direction_set(pspec)
     config = {"spec": args.spec, "format": args.format}
@@ -182,8 +184,6 @@ def _cmd_realize(args, out):
           [f"{field.p} {field.h}"]
           + [" ".join(str(c) for c in p) for p in sorted(pts)])
     if args.out_set:
-        if pspec.n != 1:
-            raise ValueError("--out-set needs a plane target (n = 1)")
         plane_set(field, pts).to_file(args.out_set)
     return _EXIT_OK
 

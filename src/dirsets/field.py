@@ -16,7 +16,6 @@ by (p, h); they are safe to share between threads and pickle cheaply.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 DEFAULT_MAX_ORDER = 1 << 20
@@ -25,21 +24,6 @@ _ADD_TABLE_MAX = 1 << 10
 
 class SoundnessError(RuntimeError):
     """A verified mathematical invariant failed; indicates a bug, never data."""
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def _digits(code: int, p: int, n: int) -> list:
@@ -87,17 +71,18 @@ def _gfp_irreducible(coeffs, p):
 
 
 def _prime_factors(n: int):
-    out = []
+    """The distinct prime factors of n, ascending, each yielded as soon as
+    trial division finds it; the division stops at the square root of
+    what is left of n."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            yield d
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        out.append(n)
-    return out
+        yield n
 
 
 class Field:
@@ -107,7 +92,7 @@ class Field:
     __slots__ = ("p", "h", "q", "modulus", "_exp", "_log", "_neg_t", "_add_rows")
 
     def __init__(self, p: int, h: int):
-        if not _is_prime(p):
+        if next(_prime_factors(p), None) != p:
             raise ValueError(f"p = {p} is not prime")
         if h < 1:
             raise ValueError(f"h = {h} must be positive")
@@ -183,7 +168,7 @@ class Field:
         if q == 2:
             gen = 1
         else:
-            factors = _prime_factors(q - 1)
+            factors = list(_prime_factors(q - 1))
             gen = None
             for g in range(2, q):
                 if all(self._raw_pow(g, (q - 1) // r) != 1 for r in factors):
@@ -370,15 +355,14 @@ def subfield_orders(field: Field):
 
 
 def prime_power_parts(q: int):
-    """(p, h) with q = p^h, or ValueError.  The least divisor of q is prime;
-    q is a prime power iff that divisor exhausts it.  A q with no divisor
-    up to sqrt(q) is prime, so the trial division stops there."""
-    if q >= 2:
-        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-        h, m = 0, q
-        while m % p == 0:
-            m //= p
+    """(p, h) with q = p^h, or ValueError: q is a prime power iff it is a
+    power of its least prime factor p.  Only p is read, so the trial
+    division stops at p, or at sqrt(q) when q is prime."""
+    p = next(_prime_factors(q), None)
+    if p is not None:
+        h = 1
+        while p ** h < q:
             h += 1
-        if m == 1:
+        if p ** h == q:
             return p, h
     raise ValueError(f"{q} is not a prime power")

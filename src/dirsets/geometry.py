@@ -165,7 +165,8 @@ def directions_of(U: AffinePointSet) -> DirectionSet:
 
 
 def line_profile(U: AffinePointSet, y: int):
-    """Intersection counts of the q lines of direction y, by intercept code.
+    """Intersection counts of the q lines of direction y, by intercept
+    code, as a tuple.
 
     Lines of slope y < q are Y = y*X + c; vertical lines are X = c.
     The counts always sum to |U|.
@@ -179,7 +180,7 @@ def line_profile(U: AffinePointSet, y: int):
         mul, sub = F.mul, F.sub
         for a, b in U.points:
             counts[sub(b, mul(y, a))] += 1
-    return counts
+    return tuple(counts)
 
 
 class LineTable:
@@ -239,17 +240,13 @@ class LineTable:
 def direction_modulus(U, y: int) -> int:
     """Largest characteristic power dividing every slope-y line count.
 
-    Computed as gcd(counts + [q]); the gcd divides q, so it is a p-power.
+    Computed as gcd(q, counts); the gcd divides q, so it is a p-power.
     Equals q when every count is zero, which needs an empty set.
     """
     lines = LineTable.of(U)
     if not lines.U.points:
         raise ValueError("modulus of an empty point set")
-    g = lines.field.q
-    for c in lines.profile(y):
-        if c:
-            g = gcd(g, c)
-    return g
+    return gcd(lines.field.q, *lines.profile(y))
 
 
 def geometric_invariants(U) -> GeometricInvariants:

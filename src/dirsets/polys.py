@@ -114,10 +114,8 @@ def p_gcd(F: Field, a, b) -> tuple:
     return p_monic(F, a)
 
 
-def p_monomial(deg: int, c: int = 1) -> tuple:
-    if c == 0:
-        return ()
-    return (0,) * deg + (c,)
+def p_monomial(deg: int) -> tuple:
+    return (0,) * deg + (1,)
 
 
 def p_exponents(a):
@@ -200,12 +198,11 @@ def count_roots_with_multiplicity(F: Field, a) -> int:
     return sum(root_multiplicity(F, a, x) for x in range(F.q))
 
 
-def x_power_minus_x(F: Field, e: int | None = None) -> tuple:
-    """X^e - X over F (e defaults to the field order)."""
-    e = F.q if e is None else e
-    out = [0] * (e + 1)
+def x_power_minus_x(F: Field) -> tuple:
+    """X^q - X over F."""
+    out = [0] * (F.q + 1)
     out[1] = F.neg(1)
-    out[e] = 1
+    out[F.q] = 1
     return tuple(out)
 
 

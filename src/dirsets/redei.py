@@ -20,9 +20,11 @@ set that the statements read, computes the specializations one slope at
 a time.  R(X,y) = prod over c of (X + c)^(m_c) is read off the line
 profile of slope y, m_c points lying on the line of intercept c, and
 likewise for the vertical direction q (lines X = c), so what a slope
-yields depends only on its profile (the outcome of power-membership's
-checks at the slope included), and a sweep's tables share it through
-one slope memo keyed by the profile.  t and deg_X T are affine
+yields depends only on its profile, a tuple (the outcome of
+power-membership's checks at the slope included), and a sweep's tables
+share it through one slope memo keyed by the profile.  Every per-slope
+fact is read through SlopeTable (tail, power, kappa, membership) and
+every set-level t through its alg.  t and deg_X T are affine
 invariants (see SlopeTable), so no direction is moved to the vertical
 one first.  RedeiSystem serves the `redei` verb and is the
 reference the tests compare the table against.
@@ -347,14 +349,15 @@ SLOPE_MEMO_CAP = 1 << 14
 
 
 class _SlopeAlgebra:
-    """What a line profile fixes: T(X,y), its TailData, kappa(y) and the
-    power-membership outcome (determined, ok, note) of slope y, each None
-    until first read."""
+    """What a line profile fixes: T(X,y), and its TailData, kappa(y) and
+    the power-membership outcome (determined, ok, note) of slope y, each
+    None until first read."""
 
     __slots__ = ("tail", "power", "kappa", "membership")
 
-    def __init__(self):
-        self.tail = self.power = self.kappa = self.membership = None
+    def __init__(self, tail: tuple):
+        self.tail = tail
+        self.power = self.kappa = self.membership = None
 
 
 class SlopeTable(LineTable):
@@ -367,15 +370,18 @@ class SlopeTable(LineTable):
     power-membership at slope y: y is determined iff some m_c >= 2, its
     geometric modulus is gcd(q, m_0, ..., m_(q-1)), the sharper quotient
     bound depends on |U| = m_0 + ... + m_(q-1), and the checks read only
-    R(X,y), Q(X,y) and T(X,y).  T(X,y), its TailData, kappa(y) and that
-    outcome are kept in a slope memo keyed by the profile tuple and
-    filled on first read.  A sweep passes one memo to every table it
-    builds, so a profile that recurs across sets is divided out once; a
-    table built without one gets its own.  A memo serves one field.  It stores at most
-    SLOPE_MEMO_CAP profiles; past that, a read of a new profile computes
-    what it needs and stores nothing.  The checks that involve the set
-    itself (|U| <= q, y determined, no -X tail on a determined direction,
-    kappa(y) >= |U| there) run on every read.
+    R(X,y), Q(X,y) and T(X,y).  They are kept in a slope memo keyed by
+    the profile, a tuple: an entry is made with T(X,y), and its TailData,
+    kappa(y) and that outcome are filled on first read.  Each read of
+    tail, power, kappa or membership probes the memo once, and only this
+    class reads or writes an entry.  A sweep passes one memo to every
+    table it builds, so a profile that recurs across sets is divided out
+    once; a table built without one gets its own.  A memo serves one
+    field.  It stores at most SLOPE_MEMO_CAP profiles; past that, a read
+    of a new profile computes what it needs and stores nothing.  The
+    checks that involve the set itself (|U| <= q, y determined, no -X
+    tail on a determined direction, kappa(y) >= |U| there) run on every
+    read.
 
     The bivariate system specializes slope by slope, R(X,y) Q(X,y) =
     X^q + T(X,y), so its set-level facts are read off the q specialized
@@ -409,24 +415,21 @@ class SlopeTable(LineTable):
         self._memo = {} if memo is None else memo
 
     def _algebra(self, y: int) -> _SlopeAlgebra:
-        """The memo entry of direction y's profile."""
-        key = tuple(self.profile(y))
+        """The memo entry of direction y's profile, its tail filled."""
+        if not 1 <= len(self.U) <= self.field.q:
+            raise ValueError(f"need 1 <= |U| <= q, got |U| = {len(self.U)}, "
+                             f"q = {self.field.q}")
+        key = self.profile(y)
         entry = self._memo.get(key)
         if entry is None:
-            entry = _SlopeAlgebra()
+            entry = _SlopeAlgebra(specialized_tail(self, y))
             if len(self._memo) < SLOPE_MEMO_CAP:
                 self._memo[key] = entry
         return entry
 
     def tail(self, y: int) -> tuple:
         """T(X, y) at a direction code y."""
-        if not 1 <= len(self.U) <= self.field.q:
-            raise ValueError(f"need 1 <= |U| <= q, got |U| = {len(self.U)}, "
-                             f"q = {self.field.q}")
-        entry = self._algebra(y)
-        if entry.tail is None:
-            entry.tail = specialized_tail(self, y)
-        return entry.tail
+        return self._algebra(y).tail
 
     def power(self, y: int) -> TailData:
         """t(y), the power root and deg T(X,y) on a determined direction,
@@ -434,10 +437,10 @@ class SlopeTable(LineTable):
         F = self.field
         if y not in self.dirs.determined:
             raise ValueError(f"direction {y} is not determined")
-        t_y = self.tail(y)
+        entry = self._algebra(y)
+        t_y = entry.tail
         if t_y == (0, F.neg(1)):
             raise SoundnessError("determined slope produced an undetermined tail")
-        entry = self._algebra(y)
         if entry.power is None:
             tau, root = tail_power(t_y, F)
             entry.power = TailData(tau, root, p_degree(t_y))
@@ -448,11 +451,35 @@ class SlopeTable(LineTable):
         a determined direction."""
         entry = self._algebra(y)
         if entry.kappa is None:
-            entry.kappa = root_count(self.tail(y), self.field)
+            entry.kappa = root_count(entry.tail, self.field)
         k = entry.kappa
         if y in self.dirs.determined and k < len(self.U):
             raise SoundnessError("root count below |U| on a determined slope")
         return k
+
+    def membership(self, y: int) -> tuple:
+        """(determined, ok, note) of power-membership's checks at slope y:
+        for a determined slope both Q(X,y) and T(X,y) lie in GF(q)[X^m] for
+        its modulus m, and Q(X,y) avoids GF(q)[X^(p m)] when
+        deg R <= deg Q; for a free one R(X,y) Q(X,y) = X^q - X and Q(X,y)
+        splits into distinct linear factors."""
+        entry = self._algebra(y)
+        if entry.membership is None:
+            F = self.field
+            r_y, q_y = self.specialization(y)
+            if y in self.dirs.determined:
+                m = self.geo.per_direction[y]
+                ok = in_power_basis(q_y, m) and in_power_basis(entry.tail, m)
+                note = f"modulus {m}"
+                if len(self.U) <= F.q - len(self.U):
+                    ok = ok and not in_power_basis(q_y, F.p * m)
+                    note += ", sharper quotient bound applies"
+                entry.membership = True, ok, note
+            else:
+                ok = (p_mul(F, r_y, q_y) == x_power_minus_x(F)
+                      and polys.splits_into_distinct_roots(F, q_y))
+                entry.membership = False, ok, "split check"
+        return entry.membership
 
     def specialization(self, y: int):
         """(R(X,y), Q(X,y)) with Q(X,y) the quotient of X^q - X by R(X,y);
@@ -460,12 +487,6 @@ class SlopeTable(LineTable):
         F = self.field
         r_y = specialized_redei(self, y)
         return r_y, polys.p_div(F, x_power_minus_x(F), r_y)
-
-    @functools.cached_property
-    def algebraic_modulus(self) -> int:
-        """Least t(y) over the determined non-vertical slopes, q if none."""
-        return min((self.power(y).modulus for y in self.dirs.affine()),
-                   default=self.field.q)
 
     @functools.cached_property
     def deg_x_tail(self) -> int:
@@ -479,11 +500,12 @@ class SlopeTable(LineTable):
 
 @dataclass(frozen=True)
 class AlgebraicInvariants:
-    """Per-slope tail moduli over the determined non-vertical slopes.
+    """Per-slope tail data over the determined non-vertical slopes.
 
-    The aggregate modulus is their minimum, or the field order when no
-    non-vertical slope is determined.  It is also the least t(y) over all
-    of D, the vertical direction included (see SlopeTable).
+    The aggregate modulus t is the least of their moduli, or the field
+    order when no non-vertical slope is determined.  It is also the least
+    t(y) over all of D, the vertical direction included (see SlopeTable).
+    SlopeTable.alg holds a set's; every reader of t takes it from there.
     """
 
     per_direction: dict
@@ -506,7 +528,7 @@ def algebraic_invariants(U) -> AlgebraicInvariants:
         per[y] = table.power(y)
         if geo.per_direction[y] > per[y].modulus:
             raise SoundnessError("geometric modulus exceeds algebraic modulus")
-    modulus = table.algebraic_modulus
+    modulus = min((d.modulus for d in per.values()), default=table.field.q)
     if geo.modulus > modulus:
         raise SoundnessError("aggregate geometric modulus exceeds algebraic one")
     return AlgebraicInvariants(per, modulus)
@@ -524,36 +546,11 @@ class MembershipCheck:
 
 
 def check_specialized_membership(U) -> MembershipCheck:
-    """For determined slopes both Q(X,y) and T(X,y) lie in GF(q)[X^m] for
-    the slope modulus m, and Q(X,y) avoids GF(q)[X^(p m)] whenever
-    deg R <= deg Q.  For undetermined slopes R(X,y) Q(X,y) = X^q - X and
-    Q(X,y) splits into distinct linear factors.  Each slope's outcome is
-    read from the slope memo (see SlopeTable)."""
+    """power-membership's checks at every slope (see SlopeTable.membership),
+    each slope's outcome read from the slope memo."""
     table = SlopeTable.of(U)
-    entries = []
-    for y in range(table.field.q):
-        entry = table._algebra(y)
-        if entry.membership is None:
-            entry.membership = _slope_membership(table, y)
-        entries.append((y,) + entry.membership)
-    return MembershipCheck(tuple(entries))
-
-
-def _slope_membership(table: SlopeTable, y: int) -> tuple:
-    """(determined, ok, note) of the membership checks at slope y."""
-    F = table.field
-    r_y, q_y = table.specialization(y)
-    if y in table.dirs.determined:
-        m = table.geo.per_direction[y]
-        ok = in_power_basis(q_y, m) and in_power_basis(table.tail(y), m)
-        note = f"modulus {m}"
-        if len(table.U) <= F.q - len(table.U):
-            ok = ok and not in_power_basis(q_y, F.p * m)
-            note += ", sharper quotient bound applies"
-        return True, ok, note
-    product_ok = p_mul(F, r_y, q_y) == x_power_minus_x(F)
-    split_ok = polys.splits_into_distinct_roots(F, q_y)
-    return False, product_ok and split_ok, "split check"
+    return MembershipCheck(tuple((y,) + table.membership(y)
+                                 for y in range(table.field.q)))
 
 
 def check_power_span(U, modulus: int):

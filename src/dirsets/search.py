@@ -262,10 +262,11 @@ class _Walk:
         return U, dirs, functools.partial(self.profile, codes)
 
     def profile(self, codes, y: int):
-        """Direction y's profile of the set with these codes."""
+        """Direction y's profile of the set with these codes, a tuple that
+        outlives the walk's move to the next set."""
         if codes is not self.codes:
             raise RuntimeError("the walk has moved past this set")
-        return self.counts[y].copy()
+        return tuple(self.counts[y])
 
 
 # -- sweeping ------------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from dirsets.analysis import STATEMENTS
 from dirsets.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -254,6 +255,21 @@ def test_realize_verb(capsys, tmp_path):
     assert len(AffinePointSet.from_file(out_set)) == 4
 
 
+def test_realize_out_set_needs_a_plane_target(capsys, tmp_path):
+    # the 3x3 identity projects into PG(2, 9), not a plane target: refused
+    # before any report line is written
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "p": 3, "h": 2, "s": 3,
+        "projection_matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    out_set = tmp_path / "x.pts"
+    assert main(["realize", "--spec", str(spec), "--out-set", str(out_set)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --out-set needs a plane target (n = 1)\n"
+    assert not out_set.exists()
+
+
 def test_examples_verb(capsys):
     rc, doc = run_json(capsys, ["examples"])
     assert rc == 0
@@ -427,6 +443,40 @@ def test_report_bytes_are_pinned(capsys, argv, digest):
     rc, out = run(capsys, argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _set_verb_runs(path):
+    verbs = [["directions"], ["invariants"], ["redei"], ["complete", "--attempt"]]
+    verbs += [["verify", "--statement", s] for s in sorted(STATEMENTS)]
+    return [[verb[0], "--set", path, *verb[1:], "--format", fmt]
+            for fmt in ("text", "json") for verb in verbs]
+
+
+@pytest.mark.parametrize("runs,digest", [
+    (_set_verb_runs("e1.pts"),
+     "f063bf416c7160a9daeed3364c5c5aaaaa3b4256e90a9629e1337d6608555a28"),
+    (_set_verb_runs("collinear3_gf5.pts"),
+     "59e64d2a38287cd595106667cb22b4df3d05e37379c0d4b5e43ceeccd8810436"),
+    # thm-m case 1, prime-dichotomy and root-power-bound apply here
+    (_set_verb_runs("triangle3_gf5.pts"),
+     "9d0f2790ab74eb7366fa948c5bb3ade4f4be1eafe8ab7b97f69a5355d79ee1ef"),
+    ([["realize", "--spec", "plane_gf4.json", "--format", fmt]
+      for fmt in ("text", "json")],
+     "db67dc538b19d4d49e2ba94007d1fc1b79392442bf428c25f83402cb33499fa9"),
+    ([["examples", "--format", "json"]],
+     "fc3d5e3968bfe98f885e8fa4c20a1a7c37a6d50bfc45af4a2918732de22fe49a"),
+])
+def test_verb_bytes_are_pinned(capsys, monkeypatch, runs, digest):
+    # sha256 of the reports of every other verb, one after the other; the
+    # header echoes the --set or --spec path, so it is given relative to
+    # the fixtures directory
+    monkeypatch.chdir(FIXTURES)
+    h = hashlib.sha256()
+    for argv in runs:
+        rc, out = run(capsys, argv)
+        assert rc == 0
+        h.update(out.encode())
+    assert h.hexdigest() == digest
 
 
 def test_q5_tallies_at_two_workers(capsys):

@@ -47,6 +47,12 @@ def test_make_field_rejects_bad_parameters():
     make_field(2, 5, max_order=32)
 
 
+@pytest.mark.parametrize("p", [1, 6, 9])
+def test_non_prime_characteristic_is_named(p):
+    with pytest.raises(ValueError, match=f"^p = {p} is not prime$"):
+        make_field(p, 1)
+
+
 def test_prime_power_parts():
     assert prime_power_parts(2) == (2, 1)
     assert prime_power_parts(4) == (2, 2)

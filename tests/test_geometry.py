@@ -45,7 +45,7 @@ def test_line_profile_examples(gf4, gf5, unit_square):
     tri = pts(gf5, [(0, 0), (1, 1), (2, 2)])
     assert sorted(line_profile(tri, 1)) == [0, 0, 0, 0, 3]
     empty = pts(gf5, [])
-    assert line_profile(empty, 2) == [0] * 5
+    assert line_profile(empty, 2) == (0,) * 5
 
 
 @given(st.frozensets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=12),
