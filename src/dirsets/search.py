@@ -3,16 +3,28 @@
 The enumeration stream is deterministic: exhaustive mode walks subsets
 of the point codes (code = a*q + b) in lexicographic order per size;
 random mode draws a seeded budget of samples.  With symmetry reduction
-on (exhaustive mode only), only sets equal to their canonical form
-survive: the least sorted code tuple over the affine collineation group.
-Every least image sends some ordered pair of the set to codes 0 and 1,
-so the canonical form is a scan over the set's own affine frames, and
-the stream visits only code tuples that start with (0, 1).
+on (exhaustive mode only), the stream holds one set per orbit of the
+affine collineation group: its canonical form, the least sorted code
+tuple in the orbit.  Every least image of two points or more sends some
+ordered pair of the set to codes 0 and 1, so the canonical form is a
+scan over the set's own affine frames (_orbit_min).
+
+The representatives are grown level by level by orderly generation
+(R. C. Read, "Every one a winner", Ann. Discrete Math. 2, 1978): level
+n holds the children S + (x,) of the level n-1 representatives S, with
+x > max S, that are their own canonical form.  None is missed, because
+the prefix S of a canonical C = (c_1 < ... < c_n) is canonical: were
+g(S) < S for some collineation g, first differing at index i, the
+sorted g(C) would be below C at index i or before.  Parents in order
+and x ascending give each level in lexicographic order.  The group is
+2-transitive on points, so levels 0, 1 and 2 are (), (0,) and (0, 1).
 
 The stream yields each set as its sorted tuple of point codes.  Sweeps
 shard it by a stable hash (crc32) of those codes into N_SHARDS shards,
 and each worker takes every w-th shard; a set of another shard costs
-the worker one crc32.  One loop evaluates a worker's sets (a sweep with
+the worker one crc32.  With symmetry on, every worker builds the levels
+below n_max in full, and at n_max scans the frames of its own shards'
+children only.  One loop evaluates a worker's sets (a sweep with
 no statement and no CSV rows only counts them) and appends
 counterexamples, sharp sets and CSV rows (tuples in _CSV_COLUMNS order)
 to its shard's lists in stream order; the sweep sums the tallies and
@@ -30,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 import time
 import zlib
@@ -132,7 +145,9 @@ def _orbit_min(F: Field, pts, stop_at=None):
     line PQ.  With e fixed by det(e, Q - P) = 1, these w are
     (e - mu (Q - P)) / lam for lam != 0 and any mu, and a point P + x
     has frame coordinates (lam u, v + mu u) with u = det(x, Q - P),
-    v = det(e, x): n(n-1)(q^2-q) frames in all.  With stop_at given,
+    v = det(e, x): n(n-1)(q^2-q) frames in all.  The low digit
+    v + mu u does not depend on lam, so each (P, Q) computes it once per
+    mu, and each lam its high digits lam u q once.  With stop_at given,
     returns as soon as some image beats it.
     """
     q = F.q
@@ -148,10 +163,11 @@ def _orbit_min(F: Field, pts, stop_at=None):
             e0, e1 = (inv(d1), 0) if d1 else (0, F.neg(inv(d0)))
             uv = [(sub(mul(x, d1), mul(y, d0)), sub(mul(e0, y), mul(e1, x)))
                   for x, y in rel]
+            lows = [[add(v, mul(mu, u)) for u, v in uv] for mu in range(q)]
             for lam in range(1, q):
-                for mu in range(q):
-                    image = tuple(sorted(mul(lam, u) * q + add(v, mul(mu, u))
-                                         for u, v in uv))
+                high = [mul(lam, u) * q for u, _ in uv]
+                for low in lows:
+                    image = tuple(sorted(map(operator.add, high, low)))
                     if image < best:
                         if stop_at is not None:
                             return image
@@ -164,32 +180,53 @@ def canonical_form(U: AffinePointSet) -> tuple:
     return _orbit_min(U.field, sorted(U.points))
 
 
-def enumerate_sets(cfg: SearchConfig):
+def enumerate_sets(cfg: SearchConfig, shards=range(N_SHARDS)):
     """The deterministic stream of sets described by the config, each as
     its sorted tuple of point codes.
 
-    With symmetry on, only code tuples that start with (0, 1) (n = 1:
-    (0,)) can be canonical; the stream visits just those, in the same
-    lexicographic order.
+    With symmetry on, these are the canonical tuples from orderly
+    generation (module docstring), level by level.  The top level,
+    n_max, holds only the sets whose shard is in shards: the children of
+    other shards are dropped before their frame scan.  The lower levels
+    are built in full, and come whole.
     """
-    F = cfg.field()
     q = cfg.q
-    if cfg.mode == "exhaustive":
-        for n in range(cfg.n_min, cfg.n_max + 1):
-            head = (0, 1)[:n] if cfg.symmetry else ()
-            for rest in itertools.combinations(range(len(head), q * q),
-                                               n - len(head)):
-                codes = head + rest
-                if cfg.symmetry and _orbit_min(
-                        F, [point_from_code(q, c) for c in codes],
-                        stop_at=codes) != codes:
-                    continue
-                yield codes
-    else:
+    if cfg.mode == "random":
         rng = random.Random(cfg.seed)
         for _ in range(cfg.budget):
             n = rng.randint(cfg.n_min, cfg.n_max)
             yield tuple(sorted(rng.sample(range(q * q), n)))
+    elif not cfg.symmetry:
+        for n in range(cfg.n_min, cfg.n_max + 1):
+            yield from itertools.combinations(range(q * q), n)
+    else:
+        F = cfg.field()
+        for n in range(cfg.n_max + 1):
+            top = n == cfg.n_max
+            if n <= 2:
+                level = [c for c in [(0, 1)[:n]]
+                         if not top or _set_hash(q, c) % N_SHARDS in shards]
+            else:
+                level = _canonical_children(F, level, shards if top else None)
+                if not top:
+                    level = list(level)
+            if n >= cfg.n_min:
+                yield from level
+
+
+def _canonical_children(F: Field, parents, shards):
+    """Each canonical S + (x,) with x > max S, for the parents S in order
+    and x ascending; unless shards is None, only the children in them."""
+    q = F.q
+    for S in parents:
+        pts = [point_from_code(q, c) for c in S]
+        for x in range(S[-1] + 1, q * q):
+            child = S + (x,)
+            if shards is not None and _set_hash(q, child) % N_SHARDS not in shards:
+                continue
+            if _orbit_min(F, pts + [point_from_code(q, x)],
+                          stop_at=child) == child:
+                yield child
 
 
 class _Rows(dict):
@@ -347,7 +384,7 @@ def _sweep_shards(cfg: SearchConfig, shard_ids, collect_rows: bool):
     q = cfg.q
     F = cfg.field()
     walk = _Walk(F) if cfg.mode == "exhaustive" else None
-    for codes in enumerate_sets(cfg):
+    for codes in enumerate_sets(cfg, shard_ids):
         set_hash = _set_hash(q, codes)
         bucket = buckets.get(set_hash % N_SHARDS)
         if bucket is None:

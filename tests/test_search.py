@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 from collections import Counter
@@ -16,7 +17,7 @@ from dirsets.redei import SlopeTable
 from dirsets.search import (N_SHARDS, CompletionQuery, SearchConfig,
                             canonical_form, complete_set, enumerate_sets, hunt,
                             is_maximal, point_code, point_from_code, sweep,
-                            _CSV_COLUMNS, _set_hash)
+                            _CSV_COLUMNS, _orbit_min, _set_hash)
 from conftest import random_point_set
 
 
@@ -145,6 +146,8 @@ def test_canonical_form_matches_group_scan(q, params, count):
     (3, 9, 14, "ddd56a7cbf7e61ca3938f7741d306dd80162ae7aa3657dfe9f9be357a306c965"),
     (4, 8, 44, "a2d1d6d0ff5ee3328d88acb7ccec333eaa1b31f8c5a097d1cf3a3b63dda52d98"),
     (5, 5, 21, "bbf37d79be20f25bb0b705ced7c6175c37427fa50b165f8c6cf63cc4ace29114"),
+    (7, 6, 225, "62e78e9fc57d5f95a6b2abae51630f3a884e49ccdc51ddf5c6f6be853a79cd9e"),
+    (8, 5, 58, "51ee07ed62c86763475a6083aed5923ca8b511f4fc7e13e10309f806246ae0ac"),
 ])
 def test_symmetry_representatives_are_pinned(q, n_max, count, digest):
     # digests of the representative stream of the full-group orbit filter
@@ -152,6 +155,95 @@ def test_symmetry_representatives_are_pinned(q, n_max, count, digest):
     reps = list(enumerate_sets(cfg))
     assert len(reps) == count
     assert hashlib.sha256(json.dumps(reps).encode()).hexdigest() == digest
+
+
+def _prefix_filter_stream(cfg):
+    """Reference representative stream: every code tuple that starts with
+    (0, 1), in lexicographic order per size, kept when it is its own
+    orbit minimum."""
+    F, q = cfg.field(), cfg.q
+    for n in range(cfg.n_min, cfg.n_max + 1):
+        head = (0, 1)[:n]
+        for rest in itertools.combinations(range(len(head), q * q),
+                                           n - len(head)):
+            codes = head + rest
+            if _orbit_min(F, [point_from_code(q, c) for c in codes],
+                          stop_at=codes) == codes:
+                yield codes
+
+
+@pytest.mark.parametrize("n_min", [0, 3, 5])
+def test_orderly_generation_matches_the_prefix_filter(n_min):
+    # levels below n_min are built but not yielded
+    cfg = SearchConfig(q=4, n_min=n_min, n_max=8, symmetry=True)
+    assert list(enumerate_sets(cfg)) == list(_prefix_filter_stream(cfg))
+
+
+def _stabiliser_order(F, codes):
+    """Frames (P; w, Q - P) of the set, P != Q in it and w off the line
+    PQ, in which its image is itself: the affine maps that fix the set."""
+    q = F.q
+    pts = [point_from_code(q, c) for c in codes]
+    order = 0
+    for (a0, b0), (a1, b1) in itertools.permutations(pts, 2):
+        d = (F.sub(a1, a0), F.sub(b1, b0))
+        for w in itertools.product(range(q), repeat=2):
+            det = F.sub(F.mul(w[0], d[1]), F.mul(w[1], d[0]))
+            if det == 0:
+                continue
+            image = []
+            for a, b in pts:
+                x = (F.sub(a, a0), F.sub(b, b0))
+                alpha = F.div(F.sub(F.mul(x[0], d[1]), F.mul(x[1], d[0])), det)
+                beta = F.div(F.sub(F.mul(w[0], x[1]), F.mul(w[1], x[0])), det)
+                image.append(alpha * q + beta)
+            order += tuple(sorted(image)) == codes
+    return order
+
+
+@pytest.mark.parametrize("q,n_max", [(4, 16), (5, 6), (7, 4)])
+def test_representative_orbits_cover_every_set_once(q, n_max):
+    # orbit-stabiliser: a missing orbit leaves a level short, a repeated
+    # one (or a representative that is not canonical) overshoots it
+    cfg = SearchConfig(q=q, n_max=n_max, symmetry=True)
+    F = cfg.field()
+    group = q * q * (q * q - 1) * (q * q - q)
+    covered = Counter()
+    for codes in enumerate_sets(cfg):
+        n = len(codes)
+        covered[n] += (1 if n == 0 else q * q if n == 1
+                       else Fraction(group, _stabiliser_order(F, codes)))
+    assert covered == {n: math.comb(q * q, n) for n in range(n_max + 1)}
+
+
+@pytest.mark.parametrize("w", [2, 3])
+def test_workers_check_only_their_own_top_level(monkeypatch, w):
+    from dirsets import search
+
+    cfg = SearchConfig(q=5, n_max=5, symmetry=True)
+    checked = []
+    real = search._orbit_min
+
+    def counted(F, pts, stop_at=None):
+        checked.append(stop_at)
+        return real(F, pts, stop_at)
+
+    monkeypatch.setattr(search, "_orbit_min", counted)
+    full = list(enumerate_sets(cfg))
+    full_top = [c for c in checked if len(c) == 5]
+    kept, tops = set(), []
+    for i in range(w):
+        shards = range(i, N_SHARDS, w)
+        checked.clear()
+        stream = list(enumerate_sets(cfg, shards))
+        # the lower levels come whole, the top level only from these shards
+        assert [c for c in stream if len(c) < 5] == [c for c in full if len(c) < 5]
+        kept |= {c for c in stream if _set_hash(5, c) % N_SHARDS in shards}
+        top = [c for c in checked if len(c) == 5]
+        assert all(_set_hash(5, c) % N_SHARDS in shards for c in top)
+        tops += top
+    assert kept == set(full)
+    assert sorted(tops) == sorted(full_top)
 
 
 def test_canonical_form_needs_no_group_table():
