@@ -157,6 +157,11 @@ def _cmd_verify(args, out):
 def _cmd_realize(args, out):
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec_doc = json.load(fh)
+    if not isinstance(spec_doc, dict):
+        raise ValueError(f"{args.spec}: a spec is a JSON object")
+    for key in ("p", "h", "s", "projection_matrix"):
+        if key not in spec_doc:
+            raise ValueError(f"{args.spec}: spec field {key!r} is missing")
     field = make_field(spec_doc["p"], spec_doc["h"])
     matrix = tuple(tuple(row) for row in spec_doc["projection_matrix"])
     pspec = ProjectiveLinearSpec(field, spec_doc["s"], matrix)

@@ -74,10 +74,11 @@ class AffinePointSet:
         field = make_field(p, h)
         pairs = set()
         for line in lines[1:]:
-            toks = line.split()
-            if len(toks) != 2:
-                raise ValueError(f"bad point line {line!r}")
-            pair = (int(toks[0]), int(toks[1]))
+            try:
+                a, b = map(int, line.split())
+            except ValueError:
+                raise ValueError(f"bad point line {line!r}: expected 'a b'") from None
+            pair = (a, b)
             if pair in pairs:
                 # a set lists each point once; a repeat means the file is
                 # not the set its writer meant
@@ -187,15 +188,18 @@ class LineTable:
     """The line profiles of one point set, each counted on first read, and
     the per-set facts built on them, each kept: directions, geometric
     invariants and maximality.  The functions of this module accept a
-    table wherever they accept a point set.  An exhaustive sweep starts
-    each table with D and reads its profiles off live line counts
-    (_with_lines).
+    table wherever they accept a point set.  A caller that keeps line
+    counts up to date point by point (an exhaustive sweep's walk) passes
+    lines = (D, profile reader): the table then starts with D and takes
+    each profile from reader(y) on first read.
     """
 
-    def __init__(self, U: AffinePointSet):
+    def __init__(self, U: AffinePointSet, lines=None):
         self.U = U
         self.field = U.field
         self._profiles = {}
+        if lines is not None:
+            self.dirs, self._count = lines
 
     @classmethod
     def of(cls, U):
@@ -204,16 +208,6 @@ class LineTable:
         if isinstance(U, cls):
             return U
         return cls(U.U if isinstance(U, LineTable) else U)
-
-    @classmethod
-    def _with_lines(cls, U, dirs: DirectionSet, count, *args):
-        """A table of U (built with cls(U, *args)) that starts with D and
-        takes each profile from count(y) on first read, for a caller that
-        keeps the line counts up to date point by point."""
-        table = cls(U, *args)
-        table.dirs = dirs
-        table._count = count
-        return table
 
     def _count(self, y: int):
         return line_profile(self.U, y)

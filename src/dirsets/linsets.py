@@ -50,6 +50,14 @@ def direction_code_of_projective(F: Field, point) -> int:
     return F.q if u == 0 else F.div(v, u)
 
 
+def _check_codes(F: Field, what: str, codes) -> None:
+    """Each entry an int in [0, q): a field code, which the arithmetic
+    tables index without a check of their own."""
+    for c in codes:
+        if isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < F.q:
+            raise ValueError(f"{what} entry {c!r} is not a code of GF({F.q})")
+
+
 @dataclass(frozen=True)
 class AffineLinearSpec:
     """Generators and translate of a GF(s)-linear set in AG(n,q)."""
@@ -65,9 +73,11 @@ class AffineLinearSpec:
         n = len(self.translate)
         if n < 1:
             raise ValueError("ambient dimension must be at least 1")
+        _check_codes(self.field, "translate", self.translate)
         for g in self.generators:
             if len(g) != n:
                 raise ValueError("generator dimensions disagree")
+            _check_codes(self.field, "generator", g)
 
     @property
     def dimension(self) -> int:
@@ -142,6 +152,8 @@ class ProjectiveLinearSpec:
         widths = {len(r) for r in self.matrix}
         if len(widths) != 1:
             raise ValueError("ragged projection matrix")
+        for row in self.matrix:
+            _check_codes(self.field, "projection matrix", row)
 
     @property
     def d(self) -> int:

@@ -24,10 +24,11 @@ yields depends only on its profile, a tuple (the outcome of
 power-membership's checks at the slope included), and a sweep's tables
 share it through one slope memo keyed by the profile.  Every per-slope
 fact is read through SlopeTable (tail, power, kappa, membership) and
-every set-level t through its alg.  t and deg_X T are affine
-invariants (see SlopeTable), so no direction is moved to the vertical
-one first.  RedeiSystem serves the `redei` verb and is the
-reference the tests compare the table against.
+every set-level t through its alg; the statements read the table
+itself, with no wrapper between.  t and deg_X T are affine invariants
+(see SlopeTable), so no direction is moved to the vertical one first.
+RedeiSystem serves the `redei` verb and is the reference the tests
+compare the table against.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ __all__ = [
     "BivariatePoly", "RedeiSystem", "SlopeTable", "TailData",
     "AlgebraicInvariants", "redei_polynomial", "redei_system",
     "specialized_redei", "specialized_tail", "tail_power", "root_count",
-    "algebraic_invariants", "check_specialized_membership", "MembershipCheck",
-    "check_power_span",
+    "algebraic_invariants",
 ]
 
 
@@ -410,8 +410,8 @@ class SlopeTable(LineTable):
     |D| = 1 the least t is q and the other tails are -X either way.
     """
 
-    def __init__(self, U: AffinePointSet, memo: dict | None = None):
-        super().__init__(U)
+    def __init__(self, U: AffinePointSet, memo: dict | None = None, lines=None):
+        super().__init__(U, lines)
         self._memo = {} if memo is None else memo
 
     def _algebra(self, y: int) -> _SlopeAlgebra:
@@ -532,32 +532,3 @@ def algebraic_invariants(U) -> AlgebraicInvariants:
     if geo.modulus > modulus:
         raise SoundnessError("aggregate geometric modulus exceeds algebraic one")
     return AlgebraicInvariants(per, modulus)
-
-
-@dataclass(frozen=True)
-class MembershipCheck:
-    """Per-slope membership facts for the quotient and the tail."""
-
-    entries: tuple  # (y, determined, ok, note)
-
-    @property
-    def passed(self) -> bool:
-        return all(e[2] for e in self.entries)
-
-
-def check_specialized_membership(U) -> MembershipCheck:
-    """power-membership's checks at every slope (see SlopeTable.membership),
-    each slope's outcome read from the slope memo."""
-    table = SlopeTable.of(U)
-    return MembershipCheck(tuple((y,) + table.membership(y)
-                                 for y in range(table.field.q)))
-
-
-def check_power_span(U, modulus: int):
-    """Every X-exponent of X^q + T must lie in {0, 1} or be a multiple of
-    the aggregate algebraic modulus.  Returns (ok, offending exponents)."""
-    table = SlopeTable.of(U)
-    q = table.field.q
-    exps = {q}.union(*(polys.p_exponents(table.tail(y)) for y in range(q)))
-    bad = tuple(sorted(e for e in exps if e not in (0, 1) and e % modulus))
-    return not bad, bad

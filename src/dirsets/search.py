@@ -35,7 +35,9 @@ In exhaustive mode each table takes its directions and line profiles
 from a walk (_Walk): line counts that the worker updates point by
 point, from the last set it built to the next, keeping the prefix of
 codes the two share.  Consecutive random sets share no prefix, so
-random streams, and sets of 0 or 1 points, count them from scratch.
+random streams count them from scratch, and so do sets of at most two
+points: the walk would move 2(q + 1) counts for what one division
+gives.
 """
 
 from __future__ import annotations
@@ -374,7 +376,7 @@ def _sweep_shards(cfg: SearchConfig, shard_ids, collect_rows: bool):
     order gives the same report however the shards are split.  Every
     set's table reads one slope memo, which lives as long as this call:
     each worker keeps its own, and its values depend only on their keys.
-    An exhaustive stream reads the tables of two points or more off one
+    An exhaustive stream reads the tables of three points or more off one
     walk, which goes from set to set of this call only.
     """
     memo = {}
@@ -393,8 +395,9 @@ def _sweep_shards(cfg: SearchConfig, shard_ids, collect_rows: bool):
         count += 1
         if not (cfg.statements or collect_rows):
             continue  # nothing would read the set's table
-        if walk is not None and len(codes) >= 2:
-            table = SlopeTable._with_lines(*walk.lines(codes), memo)
+        if walk is not None and len(codes) >= 3:
+            U, dirs, reader = walk.lines(codes)
+            table = SlopeTable(U, memo, (dirs, reader))
         else:
             table = SlopeTable(AffinePointSet.of(
                 F, [point_from_code(q, c) for c in codes]), memo)

@@ -270,6 +270,31 @@ def test_realize_out_set_needs_a_plane_target(capsys, tmp_path):
     assert not out_set.exists()
 
 
+@pytest.mark.parametrize("entry,shown", [(-1, "-1"), (7, "7"), ("a", "'a'")])
+def test_realize_refuses_an_entry_that_is_not_a_field_code(capsys, tmp_path,
+                                                           entry, shown):
+    # over GF(4) the codes are 0..3: -1 would index the tables from the end
+    # and print a wrong set, 7 and "a" would end in a traceback
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"p": 2, "h": 2, "s": 2,
+                                "projection_matrix": [[entry, 0], [0, 1]]}))
+    assert main(["realize", "--spec", str(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: projection matrix entry {shown} "
+                            f"is not a code of GF(4)\n")
+
+
+def test_realize_names_a_missing_spec_field(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"p": 2, "s": 2,
+                                "projection_matrix": [[1, 0], [0, 1]]}))
+    assert main(["realize", "--spec", str(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {spec}: spec field 'h' is missing\n"
+
+
 def test_examples_verb(capsys):
     rc, doc = run_json(capsys, ["examples"])
     assert rc == 0
@@ -297,6 +322,15 @@ def test_repeated_point_line_is_refused(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: repeated point line '0 0'\n"
+
+
+def test_point_line_with_a_non_integer_token_is_named(capsys, tmp_path):
+    path = tmp_path / "token.pts"
+    path.write_text("3 1\n0 0\n1 x\n")
+    assert main(["directions", "--set", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad point line '1 x': expected 'a b'\n"
 
 
 def _run_python(args):

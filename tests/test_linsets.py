@@ -32,6 +32,11 @@ def test_spec_validation(gf4):
         AffineLinearSpec(gf4, 3, ((1, 0),), (0, 0))   # 3 not a subfield order
     with pytest.raises(ValueError):
         AffineLinearSpec(gf4, 2, ((1, 0, 0),), (0, 0))
+    # every generator and translate entry must be a code of GF(4)
+    for gens, translate in ((((1, 4),), (0, 0)), (((1, 0),), (0, -1)),
+                            (((True, 0),), (0, 0)), (((1, 0),), ("a", 0))):
+        with pytest.raises(ValueError, match="is not a code of GF"):
+            AffineLinearSpec(gf4, 2, gens, translate)
 
 
 def test_normalize_projective(gf4):

@@ -5,14 +5,13 @@ from dataclasses import astuple
 import pytest
 
 from dirsets.field import make_field
-from dirsets.analysis import verify_statement
+from dirsets.analysis import membership_verdict, power_span_verdict, verify_statement
 from dirsets.geometry import (AffinePointSet, LineTable, apply_collineation,
                               direction_modulus, directions_of, format_direction,
                               geometric_invariants)
 from dirsets.linsets import plane_set, subfield_subspaces
 from dirsets import polys as P
 from dirsets.redei import (BivariatePoly, SlopeTable, algebraic_invariants,
-                           check_power_span, check_specialized_membership,
                            redei_polynomial, redei_system, root_count,
                            specialized_tail, tail_power)
 from conftest import random_point_set
@@ -199,18 +198,22 @@ def test_root_count_examples(unit_square, collinear3_gf5):
 
 
 def test_membership_check(unit_square, gf5):
-    assert check_specialized_membership(unit_square).passed
-    assert check_specialized_membership(pts(gf5, [(3, 1)])).passed
+    # one check per slope, each read through SlopeTable.membership
+    for U in (unit_square, pts(gf5, [(3, 1)])):
+        verdict = membership_verdict(U)
+        assert verdict.holds and len(verdict.checks) == U.field.q
     rng = random.Random(9)
     for _ in range(30):
-        U = random_point_set(gf5, rng, 4)
-        assert check_specialized_membership(U).passed
+        table = SlopeTable(random_point_set(gf5, rng, 4))
+        assert all(table.membership(y)[1] for y in range(5))
 
 
 def test_power_span(unit_square, collinear3_gf5, gf9):
-    ok, bad = check_power_span(unit_square, 2)
-    assert ok and not bad
-    assert check_power_span(collinear3_gf5, 5)[0]
+    verdict = power_span_verdict(unit_square)
+    assert verdict.holds and not verdict.notes
+    assert SlopeTable(unit_square).alg.modulus == 2
+    assert power_span_verdict(collinear3_gf5).holds
+    assert SlopeTable(collinear3_gf5).alg.modulus == 5
     rng = random.Random(15)
     scalars = (0, 1, 2)  # the prime subfield of GF(9)
     for _ in range(15):
@@ -223,8 +226,7 @@ def test_power_span(unit_square, collinear3_gf5, gf9):
         U = pts(gf9, span)
         if len(U) > 9 or len(U) < 2:
             continue
-        alg = algebraic_invariants(U)
-        assert check_power_span(U, alg.modulus)[0]
+        assert power_span_verdict(U).holds
 
 
 @pytest.mark.parametrize("q,params", [(3, (3, 1)), (4, (2, 2)), (5, (5, 1)),
@@ -265,7 +267,7 @@ def test_membership_sharper_branch_char2(gf8):
     rng = random.Random(88)
     for _ in range(30):
         U = random_point_set(gf8, rng, rng.randint(1, 4))
-        assert check_specialized_membership(U).passed
+        assert membership_verdict(U).holds
 
 
 @pytest.mark.parametrize("params", [(2, 4), (5, 2), (3, 3)])
@@ -278,10 +280,9 @@ def test_division_pipeline_soak_larger_fields(params):
         U = random_point_set(F, rng, rng.randint(1, q))
         redei_system(U, verify=True)
         if i % 5 == 0:
-            assert check_specialized_membership(U).passed
+            assert membership_verdict(U).holds
             if directions_of(U).determined:
-                alg = algebraic_invariants(U)
-                assert check_power_span(U, alg.modulus)[0]
+                assert power_span_verdict(U).holds
 
 
 def _differential_sets(q):
@@ -325,10 +326,12 @@ def test_slope_table_matches_bivariate_system(q):
                 profiles.add(tuple(table.profile(y)))
             if len(U) >= 2:
                 assert table.deg_x_tail == sys_.deg_x_tail()
-            exps = {q} | {i for i, row in enumerate(sys_.tail.coeffs) if row}
-            for m in (F.p ** e for e in range(F.h + 1)):
-                bad = tuple(sorted(e for e in exps if e not in (0, 1) and e % m))
-                assert check_power_span(table, m) == (not bad, bad)
+            # power-span reads the X-exponents of X^q + T off the tails:
+            # from X^1 up they are those of the bivariate T (see SlopeTable);
+            # on X^0 its coefficient may be a multiple of Y^q - Y
+            exps = {q}.union(*(P.p_exponents(table.tail(y)) for y in range(q)))
+            assert exps - {0} == {q} | {i for i, row in enumerate(sys_.tail.coeffs)
+                                        if i and row}
         checked += 1
     assert checked == {2: 10, 3: 129, 4: 2516}.get(q, 150)
     # the shared memo holds one entry per slope profile the family has
@@ -465,14 +468,14 @@ def test_normal_form_read_off_the_set_matches_the_image(q):
 
 def test_slope_table_of_a_plain_line_table(gf4):
     U = pts(gf4, [(0, 0), (1, 0), (0, 1)])
-    expected = (algebraic_invariants(U), check_power_span(U, 2),
-                check_specialized_membership(U))
+    expected = (algebraic_invariants(U), power_span_verdict(U),
+                membership_verdict(U))
     lines = LineTable(U)
     table = SlopeTable.of(lines)
     assert isinstance(table, SlopeTable) and table.U is U
     assert SlopeTable.of(table) is table and LineTable.of(table) is table
-    assert (algebraic_invariants(lines), check_power_span(lines, 2),
-            check_specialized_membership(lines)) == expected
+    assert (algebraic_invariants(lines), power_span_verdict(lines),
+            membership_verdict(lines)) == expected
 
 
 def test_power_membership_checks_each_free_profile_once(monkeypatch):

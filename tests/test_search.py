@@ -427,8 +427,8 @@ def test_successive_sweeps_do_not_share_the_slope_memo(monkeypatch):
     profiles = []
 
     class Recording(redei.SlopeTable):
-        def __init__(self, U, memo=None):
-            super().__init__(U, memo)
+        def __init__(self, U, memo=None, lines=None):
+            super().__init__(U, memo, lines)
             memos.append(memo)
 
     real_tail = redei.specialized_tail
@@ -461,7 +461,7 @@ def test_successive_sweeps_do_not_share_the_slope_memo(monkeypatch):
     (5, 4, False, 1), (7, 3, False, 1), (8, 3, False, 1), (9, 3, False, 1)])
 def test_walk_tables_match_profiles_from_scratch(monkeypatch, q, n_max,
                                                  symmetry, step):
-    # the exhaustive sweep reads each table of two points or more off
+    # the exhaustive sweep reads each table of three points or more off
     # line counts it updates point by point; as each is built, every
     # profile and D must equal what the set's own points give.  step 2
     # runs the first of two workers, whose walk skips the other's sets
@@ -470,18 +470,14 @@ def test_walk_tables_match_profiles_from_scratch(monkeypatch, q, n_max,
     built, walked = Counter(), Counter()
 
     class Checked(search.SlopeTable):
-        def __init__(self, U, memo=None):
-            super().__init__(U, memo)
+        def __init__(self, U, memo=None, lines=None):
+            super().__init__(U, memo, lines)
             built[len(U)] += 1
-
-        @classmethod
-        def _with_lines(cls, U, dirs, count, *args):
-            table = super()._with_lines(U, dirs, count, *args)
-            for y in range(q + 1):
-                assert table.profile(y) == line_profile(U, y), (sorted(U), y)
-            assert table.dirs == directions_of(U), sorted(U)
-            walked[len(U)] += 1
-            return table
+            if lines is not None:
+                for y in range(q + 1):
+                    assert self.profile(y) == line_profile(U, y), (sorted(U), y)
+                assert self.dirs == directions_of(U), sorted(U)
+                walked[len(U)] += 1
 
     monkeypatch.setattr(search, "SlopeTable", Checked)
     # a sweep builds tables only when something reads them; this statement
@@ -490,7 +486,7 @@ def test_walk_tables_match_profiles_from_scratch(monkeypatch, q, n_max,
                        statements=("size-q-trichotomy",))
     _, count, _ = search._sweep_shards(cfg, range(0, N_SHARDS, step), False)
     assert sum(built.values()) == count
-    assert built - walked == Counter({n: built[n] for n in (0, 1) if built[n]})
+    assert built - walked == Counter({n: built[n] for n in (0, 1, 2) if built[n]})
     if step == 1:
         streamed = Counter(len(codes) for codes in enumerate_sets(cfg))
         assert built == streamed
@@ -500,7 +496,7 @@ def test_walk_tables_match_profiles_from_scratch(monkeypatch, q, n_max,
 
 
 def test_exhaustive_sweep_counts_no_profile_from_scratch(monkeypatch):
-    # past one point, every statement and every CSV row of an exhaustive
+    # past two points, every statement and every CSV row of an exhaustive
     # sweep reads D and the profiles off the walk
     from dirsets import geometry
 
@@ -516,12 +512,12 @@ def test_exhaustive_sweep_counts_no_profile_from_scratch(monkeypatch):
     report = sweep(SearchConfig(q=4, n_max=6, statements=theorems),
                    collect_rows=True)
     assert report.sets_examined == 14893 and not report.failed
-    assert sizes and max(sizes) <= 1
+    assert sizes and max(sizes) <= 2
 
 
 def test_one_point_stream_takes_no_walk(monkeypatch):
-    # sets of 0 or 1 points determine nothing and take the from-scratch
-    # path, so a stream that stops at n = 1 never starts the walk; its
+    # sets of at most two points take the from-scratch path, so a stream
+    # that stops at n = 1 never starts the walk; its
     # tallies are those of tables built from scratch.  power-membership,
     # which divides 64 slopes per set here, is left out for time
     from dirsets import search
@@ -566,7 +562,7 @@ def test_symmetry_walk_counts_only_the_codes_it_visits(monkeypatch, q, n_max,
                        statements=("thm-m", "moduli-order", "line-congruence"))
     report = sweep(cfg)
     assert report.sets_examined == sets and not report.failed
-    visited = {c for codes in enumerate_sets(cfg) if len(codes) >= 2
+    visited = {c for codes in enumerate_sets(cfg) if len(codes) >= 3
                for c in codes}
     assert sorted(computed) == sorted(visited)
 
