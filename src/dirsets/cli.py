@@ -55,14 +55,10 @@ def _emit(out, verb, config, field, result, lines):
         out.write(line + "\n")
 
 
-def _load_set(path) -> AffinePointSet:
-    return AffinePointSet.from_file(path)
-
-
 # -- verbs ---------------------------------------------------------------------
 
 def _cmd_directions(args, out):
-    U = _load_set(args.set)
+    U = AffinePointSet.from_file(args.set)
     dirs = directions_of(U)
     config = {"set": args.set, "format": args.format}
     result = {"directions": list(dirs.tokens()), "count": len(dirs),
@@ -74,7 +70,7 @@ def _cmd_directions(args, out):
 
 
 def _cmd_invariants(args, out):
-    U = _load_set(args.set)
+    U = AffinePointSet.from_file(args.set)
     F = U.field
     slopes = SlopeTable.of(U)
     dirs = slopes.dirs
@@ -122,7 +118,7 @@ def _cmd_invariants(args, out):
 
 
 def _cmd_redei(args, out):
-    U = _load_set(args.set)
+    U = AffinePointSet.from_file(args.set)
     sys_ = redei_system(U)
     config = {"set": args.set, "format": args.format}
     result = {"redei": [list(t) for t in sys_.redei.terms()],
@@ -136,7 +132,7 @@ def _cmd_redei(args, out):
 
 
 def _cmd_verify(args, out):
-    U = _load_set(args.set)
+    U = AffinePointSet.from_file(args.set)
     verdict = verify_statement(args.statement, U)
     config = {"set": args.set, "statement": args.statement, "format": args.format}
     if not verdict.applicable:
@@ -162,9 +158,12 @@ def _cmd_realize(args, out):
     for key in ("p", "h", "s", "projection_matrix"):
         if key not in spec_doc:
             raise ValueError(f"{args.spec}: spec field {key!r} is missing")
+    rows = spec_doc["projection_matrix"]
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError(f"{args.spec}: projection_matrix is a list of rows, "
+                         f"each a list of codes")
     field = make_field(spec_doc["p"], spec_doc["h"])
-    matrix = tuple(tuple(row) for row in spec_doc["projection_matrix"])
-    pspec = ProjectiveLinearSpec(field, spec_doc["s"], matrix)
+    pspec = ProjectiveLinearSpec(field, spec_doc["s"], tuple(map(tuple, rows)))
     if pspec.d != spec_doc.get("d", pspec.d) or pspec.n != spec_doc.get("n", pspec.n):
         raise ValueError("spec dimensions disagree with the projection matrix")
     if args.out_set and pspec.n != 1:
@@ -257,7 +256,7 @@ def _cmd_hunt(args, out):
 
 
 def _cmd_complete(args, out):
-    U = _load_set(args.set)
+    U = AffinePointSet.from_file(args.set)
     try:
         alpha = Fraction(args.alpha)
     except (ValueError, ZeroDivisionError):
@@ -290,19 +289,11 @@ def _cmd_examples(args, out):
     ok &= (nm["same_directions"] and not nm["linear_set_maximal"]
            and nm["linear_set_is_subfield_linear"]
            and nm["minimal_subset_same_directions"])
-    doc = {"reports": _plain(report), "all_expected_properties": ok}
+    doc = {"reports": report, "all_expected_properties": ok}
     _emit(out, "examples", config, None, doc,
           [json.dumps(doc["reports"], sort_keys=True, indent=1),
            f"all expected properties: {ok}"])
     return _EXIT_OK if ok else _EXIT_COUNTEREXAMPLE
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
 
 
 # -- parser ----------------------------------------------------------------------

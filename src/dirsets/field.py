@@ -282,6 +282,9 @@ def make_field(p: int, h: int, max_order: int = DEFAULT_MAX_ORDER) -> Field:
     The order bound protects the enumeration-based operations elsewhere in
     the package; raise it explicitly if you know what you are doing.
     """
+    for name, v in (("p", p), ("h", h)):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"field parameter {name} = {v!r} is not an integer")
     if p ** h > max_order:
         raise ValueError(f"field order {p}^{h} exceeds bound {max_order}")
     return _cached_field(p, h)

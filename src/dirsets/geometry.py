@@ -137,7 +137,8 @@ class GeometricInvariants:
     """Per-direction moduli over the determined directions and their minimum.
 
     Undetermined directions always have modulus 1 and are omitted from the
-    map.  The aggregate is None only when nothing is determined.
+    map.  With nothing determined there is no aggregate, and
+    geometric_invariants refuses the set.
     """
 
     per_direction: dict
@@ -235,7 +236,7 @@ def direction_modulus(U, y: int) -> int:
     """Largest characteristic power dividing every slope-y line count.
 
     Computed as gcd(q, counts); the gcd divides q, so it is a p-power.
-    Equals q when every count is zero, which needs an empty set.
+    The empty set, whose counts are all zero, is refused.
     """
     lines = LineTable.of(U)
     if not lines.U.points:

@@ -58,6 +58,12 @@ def _check_codes(F: Field, what: str, codes) -> None:
             raise ValueError(f"{what} entry {c!r} is not a code of GF({F.q})")
 
 
+def _check_subfield_order(F: Field, s) -> None:
+    """s an int order of a subfield of F (2.0 == 2, but indexes no list)."""
+    if isinstance(s, bool) or not isinstance(s, int) or s not in subfield_orders(F):
+        raise ValueError(f"{s!r} is not a subfield order of GF({F})")
+
+
 @dataclass(frozen=True)
 class AffineLinearSpec:
     """Generators and translate of a GF(s)-linear set in AG(n,q)."""
@@ -68,8 +74,7 @@ class AffineLinearSpec:
     translate: tuple    # n-tuple of codes
 
     def __post_init__(self):
-        if self.s not in subfield_orders(self.field):
-            raise ValueError(f"{self.s} is not a subfield order of GF({self.field})")
+        _check_subfield_order(self.field, self.s)
         n = len(self.translate)
         if n < 1:
             raise ValueError("ambient dimension must be at least 1")
@@ -82,10 +87,6 @@ class AffineLinearSpec:
     @property
     def dimension(self) -> int:
         return len(self.translate)
-
-    @property
-    def rank(self) -> int:
-        return len(self.generators)
 
 
 def _span_points(F: Field, scalars, generators, translate):
@@ -138,8 +139,11 @@ def directions_of_vectors(F: Field, pts) -> frozenset:
 class ProjectiveLinearSpec:
     """A projection of the canonical subgeometry PG(d,s) into PG(n,q).
 
-    The matrix has n+1 rows and d+1 columns over GF(q); it must have full
-    row rank and its kernel must meet no point of the subgeometry.
+    The matrix has n+1 rows and d+1 columns over GF(q), at least one of
+    each.  It must have full rank as a linear map (full row rank for
+    d >= n, injective for a source of lower dimension), and its center
+    must miss the subgeometry, certified by pushing every subgeometry
+    point through the matrix.  Both are checked when the spec is built.
     """
 
     field: Field
@@ -147,13 +151,19 @@ class ProjectiveLinearSpec:
     matrix: tuple   # (n+1) rows, each a (d+1)-tuple of codes
 
     def __post_init__(self):
-        if self.s not in subfield_orders(self.field):
-            raise ValueError(f"{self.s} is not a subfield order of GF({self.field})")
-        widths = {len(r) for r in self.matrix}
-        if len(widths) != 1:
+        F = self.field
+        _check_subfield_order(F, self.s)
+        if not self.matrix or not self.matrix[0]:
+            raise ValueError("projection matrix needs a row and a column")
+        if len({len(r) for r in self.matrix}) != 1:
             raise ValueError("ragged projection matrix")
         for row in self.matrix:
-            _check_codes(self.field, "projection matrix", row)
+            _check_codes(F, "projection matrix", row)
+        if linalg.rank(F, self.matrix) != min(self.n, self.d) + 1:
+            raise ValueError("projection matrix is rank-deficient")
+        for vec in _subgeometry_points(F, self.s, self.d):
+            if not any(linalg.mat_vec(F, self.matrix, vec)):
+                raise ValueError("projection center meets the canonical subgeometry")
 
     @property
     def d(self) -> int:
@@ -175,28 +185,11 @@ def _subgeometry_points(F: Field, s: int, d: int):
                 break
 
 
-def validate_projection(spec: ProjectiveLinearSpec) -> None:
-    """Full rank as a linear map, and the center avoids the subgeometry.
-
-    For d >= n this is the usual full-row-rank projection; a source of
-    lower dimension (already an embedding, empty center) must be injective.
-    Disjointness is certified by pushing every subgeometry point through
-    the matrix rather than by rank arguments.
-    """
-    F = spec.field
-    if linalg.rank(F, spec.matrix) != min(spec.n, spec.d) + 1:
-        raise ValueError("projection matrix is rank-deficient")
-    for vec in _subgeometry_points(F, spec.s, spec.d):
-        if not any(linalg.mat_vec(F, spec.matrix, vec)):
-            raise ValueError("projection center meets the canonical subgeometry")
-
-
 @dataclass
 class WeightedProjectiveSet:
     """Projection image with multiplicities, keyed by normalized point."""
 
     field: Field
-    dimension: int
     weights: dict
 
     def support(self):
@@ -212,7 +205,6 @@ def project_subgeometry(spec: ProjectiveLinearSpec) -> WeightedProjectiveSet:
 
     Total weight is always (s^(d+1)-1)/(s-1), the subgeometry size.
     """
-    validate_projection(spec)
     F = spec.field
     weights = {}
     for vec in _subgeometry_points(F, spec.s, spec.d):
@@ -221,7 +213,7 @@ def project_subgeometry(spec: ProjectiveLinearSpec) -> WeightedProjectiveSet:
     expected = (spec.s ** (spec.d + 1) - 1) // (spec.s - 1)
     if sum(weights.values()) != expected:  # pragma: no cover
         raise SoundnessError("projected weight total broke")
-    return WeightedProjectiveSet(F, spec.n, weights)
+    return WeightedProjectiveSet(F, weights)
 
 
 @dataclass(frozen=True)
@@ -326,15 +318,12 @@ def realize_direction_set(spec: ProjectiveLinearSpec) -> frozenset:
     the affine part of the taller subgeometry maps one-to-one; the realized
     set is the subfield span of the matrix columns, with s^(d+1) points.
     """
-    validate_projection(spec)
     F = spec.field
-    scalars = subfield_elements(F, spec.s)
-    pts = set()
-    for lam in itertools.product(scalars, repeat=spec.d + 1):
-        pts.add(linalg.mat_vec(F, spec.matrix, lam))
+    pts = _span_points(F, subfield_elements(F, spec.s), tuple(zip(*spec.matrix)),
+                       (0,) * (spec.n + 1))
     if len(pts) != spec.s ** (spec.d + 1):  # pragma: no cover
         raise SoundnessError("projection center leaked into the affine part")
-    return frozenset(pts)
+    return pts
 
 
 def is_subfield_linear(F: Field, pts, s: int):

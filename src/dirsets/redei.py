@@ -12,8 +12,9 @@ power: the algebraic modulus of y is the largest characteristic power
 tau with T(X,y) = f(X)^tau for some f outside GF(q)[X^p].  For an
 undetermined slope T(X,y) = -X.  The set-level algebraic modulus is the
 minimum over the determined non-vertical slopes (the convention when
-nothing qualifies is the field order, which happens exactly for
-single-direction sets).
+nothing qualifies is the field order, which happens exactly when the
+vertical direction is the only one determined; t = q holds for every
+single-direction set).
 
 Sweeps never build the bivariate system: SlopeTable, the one table per
 set that the statements read, computes the specializations one slope at
@@ -140,8 +141,7 @@ def _bivariate_divmod(num: BivariatePoly, den: BivariatePoly):
     lead = den.coefficient(dn)
     if lead != (1,):
         raise ValueError("divisor must be monic in X")
-    rem = [list(c) for c in num.coeffs]
-    rem = [p_trim(c) for c in rem]
+    rem = list(num.coeffs)
     quot = [()] * max(len(rem) - dn, 0)
     for k in range(len(rem) - 1, dn - 1, -1):
         c = rem[k]
@@ -275,14 +275,13 @@ def _verify_system(sys: RedeiSystem) -> None:
             raise SoundnessError("quotient coefficients break the recurrence")
 
 
-def specialized_redei(U, y: int) -> tuple:
-    """R(X, y) = prod over intercepts c of (X + c)^(m_c), where m_c counts
-    the points of U (a point set or a table) on the line Y = yX + c, or on
-    X = c for the vertical direction y = q."""
-    lines = LineTable.of(U)
-    add, mul = lines.field.add, lines.field.mul
+def specialized_redei(F: Field, profile) -> tuple:
+    """R(X, y) = prod over intercepts c of (X + c)^(m_c), where m_c =
+    profile[c] counts the points on the line Y = yX + c, or on X = c for
+    the vertical direction y = q: it depends on q and the profile only."""
+    add, mul = F.add, F.mul
     r = [1]
-    for c, m in enumerate(lines.profile(y)):
+    for c, m in enumerate(profile):
         for _ in range(m):
             # multiply the monic r by X + c, highest coefficient first
             r.append(1)
@@ -300,7 +299,8 @@ def specialized_tail(U, y: int):
     building the full system when only one slope matters.
     """
     F = U.field
-    rem = polys.p_mod(F, x_power_minus_x(F), specialized_redei(U, y))
+    r_y = specialized_redei(F, LineTable.of(U).profile(y))
+    rem = polys.p_mod(F, x_power_minus_x(F), r_y)
     return p_neg(F, p_add(F, rem, (0, 1)))
 
 
@@ -485,7 +485,7 @@ class SlopeTable(LineTable):
         """(R(X,y), Q(X,y)) with Q(X,y) the quotient of X^q - X by R(X,y);
         not kept, since power-membership keeps its outcome instead."""
         F = self.field
-        r_y = specialized_redei(self, y)
+        r_y = specialized_redei(F, self.profile(y))
         return r_y, polys.p_div(F, x_power_minus_x(F), r_y)
 
     @functools.cached_property

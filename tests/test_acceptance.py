@@ -188,12 +188,11 @@ def _random_projection(F, s, d, rng):
     while True:
         matrix = tuple(tuple(rng.randrange(F.q) for _ in range(d + 1))
                        for _ in range(2))
-        spec = ProjectiveLinearSpec(F, s, matrix)
         try:
-            image = project_subgeometry(spec)
+            spec = ProjectiveLinearSpec(F, s, matrix)
         except ValueError:
             continue
-        return spec, image
+        return spec, project_subgeometry(spec)
 
 
 def test_criterion_6_realization_round_trip():

@@ -57,6 +57,22 @@ def test_trichotomy_modulus_gap_case(gf4):
     assert lower.lhs == Fraction(8, 3)
 
 
+def test_trichotomy_partition_check_reads_the_profiles(unit_square):
+    # a table whose slope-0 profile (2, 0, 2, 0) disagrees with the points
+    # (whose profile is (2, 2, 0, 0)) keeps s = 2 and case 2, but the lines
+    # through (0, 1) no longer hold the three other points
+    from dirsets.geometry import directions_of, line_profile
+    wrong = {0: (2, 0, 2, 0)}
+    table = SlopeTable(unit_square, lines=(
+        directions_of(unit_square),
+        lambda y: wrong.get(y) or line_profile(unit_square, y)))
+    v = classify_direction_trichotomy(table)
+    assert v.applicable and v.case == 2 and not v.holds
+    failed = [c for c in v.checks if not c.holds]
+    assert [c.label for c in failed] == ["lines at set points partition the set"]
+    assert (failed[0].lhs, failed[0].rhs) == (1, 3)
+
+
 def test_trichotomy_inapplicable(gf2, gf5):
     full = pts(gf2, [(0, 0), (1, 0), (0, 1), (1, 1)])
     assert not classify_direction_trichotomy(full).applicable

@@ -295,6 +295,60 @@ def test_realize_names_a_missing_spec_field(capsys, tmp_path):
     assert captured.err == f"error: {spec}: spec field 'h' is missing\n"
 
 
+_PLANE_SPEC = {"p": 2, "h": 2, "s": 2, "projection_matrix": [[1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([1, 2], "{spec}: a spec is a JSON object"),
+    ({**_PLANE_SPEC, "projection_matrix": [1, 2]},
+     "{spec}: projection_matrix is a list of rows, each a list of codes"),
+    ({**_PLANE_SPEC, "p": "2"}, "field parameter p = '2' is not an integer"),
+    ({**_PLANE_SPEC, "h": 2.0}, "field parameter h = 2.0 is not an integer"),
+    ({**_PLANE_SPEC, "s": 2.0}, "2.0 is not a subfield order of GF(2^2)"),
+    ({**_PLANE_SPEC, "projection_matrix": [[]]},
+     "projection matrix needs a row and a column"),
+    ({**_PLANE_SPEC, "projection_matrix": []},
+     "projection matrix needs a row and a column"),
+    ({**_PLANE_SPEC, "d": 2}, "spec dimensions disagree with the projection matrix"),
+    ({**_PLANE_SPEC, "n": 2}, "spec dimensions disagree with the projection matrix"),
+], ids=["not-an-object", "rows-not-lists", "p-string", "h-float", "s-float",
+        "no-columns", "no-rows", "d-disagrees", "n-disagrees"])
+def test_realize_refuses_a_malformed_spec(capsys, tmp_path, doc, message):
+    # refused with one error line before any report line, never a traceback
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["realize", "--spec", str(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: " + message.format(spec=spec) + "\n"
+
+
+def test_invariants_of_a_set_with_no_determined_direction(capsys, tmp_path):
+    point = tmp_path / "point.pts"
+    point.write_text("5 1\n2 3\n")
+    rc, out = run(capsys, ["invariants", "--set", str(point)])
+    assert rc == 0
+    assert out.splitlines()[-3:] == [
+        "|U| = 1, |D| = 0", "s = None, t = None, degXH = ",
+        "note: no determined direction: moduli undefined"]
+    rc, doc = run_json(capsys, ["invariants", "--set", str(point)])
+    assert rc == 0
+    assert doc["result"] == {
+        "points": 1, "direction_count": 0, "directions": [], "s": None,
+        "t": None, "note": "no determined direction: moduli undefined",
+        "per_direction": []}
+
+
+def test_search_needs_a_field_order(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_max": 2}))
+    for argv in (["search"], ["search", "--config", str(config)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: q is required (flag --q or config file)\n"
+
+
 def test_examples_verb(capsys):
     rc, doc = run_json(capsys, ["examples"])
     assert rc == 0

@@ -45,6 +45,10 @@ def test_make_field_rejects_bad_parameters():
     with pytest.raises(ValueError):
         make_field(2, 5, max_order=16)  # the bound is configurable
     make_field(2, 5, max_order=32)
+    # parameters read from JSON may be strings, floats or booleans
+    for p, h in (("2", 2), (2, 2.0), (True, 2)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            make_field(p, h)
 
 
 @pytest.mark.parametrize("p", [1, 6, 9])

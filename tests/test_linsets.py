@@ -10,8 +10,7 @@ from dirsets.linsets import (AffineLinearSpec, ProjectiveLinearSpec,
                              direction_code_of_projective, directions_of_vectors,
                              is_subfield_linear, normalize_projective, plane_set,
                              project_subgeometry, realize_direction_set,
-                             relative_basis, subfield_subspaces,
-                             validate_projection)
+                             relative_basis, subfield_subspaces)
 
 
 def test_build_affine_linear_examples(gf4, gf9):
@@ -30,6 +29,8 @@ def test_build_affine_linear_examples(gf4, gf9):
 def test_spec_validation(gf4):
     with pytest.raises(ValueError):
         AffineLinearSpec(gf4, 3, ((1, 0),), (0, 0))   # 3 not a subfield order
+    with pytest.raises(ValueError, match="2.0 is not a subfield order"):
+        AffineLinearSpec(gf4, 2.0, ((1, 0),), (0, 0))  # equal to 2, not an int
     with pytest.raises(ValueError):
         AffineLinearSpec(gf4, 2, ((1, 0, 0),), (0, 0))
     # every generator and translate entry must be a code of GF(4)
@@ -62,12 +63,10 @@ def test_project_plane_to_line(gf4):
 
 def test_projection_center_collision_rejected(gf4):
     # kernel (0 : 1 : 1) lies inside the subplane
-    bad = ProjectiveLinearSpec(gf4, 2, ((1, 0, 0), (0, 1, 1)))
-    with pytest.raises(ValueError):
-        validate_projection(bad)
-    flat = ProjectiveLinearSpec(gf4, 2, ((1, 0), (1, 0)))
-    with pytest.raises(ValueError):
-        validate_projection(flat)
+    with pytest.raises(ValueError, match="center meets"):
+        ProjectiveLinearSpec(gf4, 2, ((1, 0, 0), (0, 1, 1)))
+    with pytest.raises(ValueError, match="rank-deficient"):
+        ProjectiveLinearSpec(gf4, 2, ((1, 0), (1, 0)))
 
 
 def test_weight_conservation_random_specs(gf9):
@@ -77,9 +76,8 @@ def test_weight_conservation_random_specs(gf9):
         d = rng.randint(1, 2)
         matrix = tuple(tuple(rng.randrange(9) for _ in range(d + 1))
                        for _ in range(2))
-        spec = ProjectiveLinearSpec(gf9, 3, matrix)
         try:
-            image = project_subgeometry(spec)
+            image = project_subgeometry(ProjectiveLinearSpec(gf9, 3, matrix))
         except ValueError:
             continue
         found += 1
@@ -153,11 +151,11 @@ def test_realize_round_trip_random(gf9):
         d = 2
         matrix = tuple(tuple(rng.randrange(9) for _ in range(d + 1))
                        for _ in range(2))
-        spec = ProjectiveLinearSpec(gf9, 3, matrix)
         try:
-            image = project_subgeometry(spec)
+            spec = ProjectiveLinearSpec(gf9, 3, matrix)
         except ValueError:
             continue
+        image = project_subgeometry(spec)
         done += 1
         U = plane_set(gf9, realize_direction_set(spec))
         support = sorted(direction_code_of_projective(gf9, p)

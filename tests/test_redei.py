@@ -13,7 +13,7 @@ from dirsets.linsets import plane_set, subfield_subspaces
 from dirsets import polys as P
 from dirsets.redei import (BivariatePoly, SlopeTable, algebraic_invariants,
                            redei_polynomial, redei_system, root_count,
-                           specialized_tail, tail_power)
+                           specialized_redei, specialized_tail, tail_power)
 from conftest import random_point_set
 
 
@@ -100,6 +100,16 @@ def test_specialize_examples(unit_square, collinear3_gf5):
     zero = BivariatePoly(unit_square.field, ())
     assert zero.specialize(3) == ()
     assert redei_polynomial(collinear3_gf5).specialize(1) == (0, 0, 0, 1)
+
+
+def test_specialized_redei_reads_the_profile(unit_square):
+    # R(X, y) from (field, profile) is the bivariate R at Y = y
+    F = unit_square.field
+    R = redei_polynomial(unit_square)
+    lines = LineTable(unit_square)
+    for y in range(F.q):
+        assert specialized_redei(F, lines.profile(y)) == R.specialize(y)
+    assert specialized_redei(F, (2, 2, 0, 0)) == (0, 0, 1, 0, 1)
 
 
 def test_specialize_commutes_with_product(gf9):
