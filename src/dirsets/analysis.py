@@ -635,8 +635,6 @@ def nonlinear_maximal_example(q: int) -> dict:
     for digits in itertools.product(range(small.q), repeat=small.q):
         U = AffinePointSet.of(small, enumerate(reversed(digits)))
         dirs = directions_of(U)
-        if dirs.has_infinity or not dirs.determined:
-            continue
         if not 2 * len(dirs) >= q + 3:
             continue
         if geometric_invariants(U).modulus == 1:

@@ -188,7 +188,7 @@ def _cmd_realize(args, out):
           [f"{field.p} {field.h}"]
           + [" ".join(str(c) for c in p) for p in sorted(pts)])
     if args.out_set:
-        plane_set(field, pts).to_file(args.out_set)
+        U.to_file(args.out_set)
     return _EXIT_OK
 
 

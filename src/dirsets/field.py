@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-DEFAULT_MAX_ORDER = 1 << 20
+MAX_ORDER = 1 << 20
 _ADD_TABLE_MAX = 1 << 10
 
 
@@ -276,17 +276,17 @@ def _cached_field(p: int, h: int) -> Field:
     return Field(p, h)
 
 
-def make_field(p: int, h: int, max_order: int = DEFAULT_MAX_ORDER) -> Field:
+def make_field(p: int, h: int) -> Field:
     """The unique GF(p^h) instance for these parameters.
 
-    The order bound protects the enumeration-based operations elsewhere in
-    the package; raise it explicitly if you know what you are doing.
+    The order is at most MAX_ORDER, a fixed bound that protects the
+    enumeration-based operations elsewhere in the package.
     """
     for name, v in (("p", p), ("h", h)):
         if isinstance(v, bool) or not isinstance(v, int):
             raise ValueError(f"field parameter {name} = {v!r} is not an integer")
-    if p ** h > max_order:
-        raise ValueError(f"field order {p}^{h} exceeds bound {max_order}")
+    if p ** h > MAX_ORDER:
+        raise ValueError(f"field order {p}^{h} exceeds bound {MAX_ORDER}")
     return _cached_field(p, h)
 
 
@@ -312,7 +312,7 @@ def subfields(field: Field):
     for e in range(1, h + 1):
         if h % e:
             continue
-        small = make_field(p, e, max_order=field.q)
+        small = make_field(p, e)
         if e == h:
             emb = tuple(range(field.q))
         else:

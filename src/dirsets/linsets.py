@@ -34,6 +34,10 @@ __all__ = [
     "directions_of_vectors", "plane_set", "direction_code_of_projective",
 ]
 
+# most span points s^(d+1) a projection spec may hold: at s = 2 each two
+# more columns cost `realize` about four times the time
+MAX_SPAN_POINTS = 1 << 16
+
 
 def normalize_projective(F: Field, vec):
     """Scale so the first nonzero coordinate is 1; None for the zero vector."""
@@ -140,10 +144,12 @@ class ProjectiveLinearSpec:
     """A projection of the canonical subgeometry PG(d,s) into PG(n,q).
 
     The matrix has n+1 rows and d+1 columns over GF(q), at least one of
-    each.  It must have full rank as a linear map (full row rank for
-    d >= n, injective for a source of lower dimension), and its center
-    must miss the subgeometry, certified by pushing every subgeometry
-    point through the matrix.  Both are checked when the spec is built.
+    each.  Its span holds s^(d+1) points, at most MAX_SPAN_POINTS.  It
+    must have full rank as a linear map (full row rank for d >= n,
+    injective for a source of lower dimension), and its center must miss
+    the subgeometry.  All are checked when the spec is built: every
+    subgeometry point is pushed through the matrix once, a zero image
+    meets the center, and the other images are kept with their weights.
     """
 
     field: Field
@@ -159,11 +165,20 @@ class ProjectiveLinearSpec:
             raise ValueError("ragged projection matrix")
         for row in self.matrix:
             _check_codes(F, "projection matrix", row)
+        span = self.s ** (self.d + 1)
+        if span > MAX_SPAN_POINTS:
+            raise ValueError(f"span of {self.s}^{self.d + 1} = {span} points "
+                             f"exceeds bound {MAX_SPAN_POINTS}")
         if linalg.rank(F, self.matrix) != min(self.n, self.d) + 1:
             raise ValueError("projection matrix is rank-deficient")
+        weights = {}
         for vec in _subgeometry_points(F, self.s, self.d):
-            if not any(linalg.mat_vec(F, self.matrix, vec)):
+            image = normalize_projective(F, linalg.mat_vec(F, self.matrix, vec))
+            if image is None:
                 raise ValueError("projection center meets the canonical subgeometry")
+            weights[image] = weights.get(image, 0) + 1
+        # not a dataclass field: ==, hash and repr see only field, s and matrix
+        object.__setattr__(self, "_weights", weights)
 
     @property
     def d(self) -> int:
@@ -201,19 +216,16 @@ class WeightedProjectiveSet:
 
 
 def project_subgeometry(spec: ProjectiveLinearSpec) -> WeightedProjectiveSet:
-    """Image of the canonical PG(d,s) with multiplicities.
+    """Image of the canonical PG(d,s) with multiplicities, as weighed when
+    the spec was built.
 
     Total weight is always (s^(d+1)-1)/(s-1), the subgeometry size.
     """
-    F = spec.field
-    weights = {}
-    for vec in _subgeometry_points(F, spec.s, spec.d):
-        image = normalize_projective(F, linalg.mat_vec(F, spec.matrix, vec))
-        weights[image] = weights.get(image, 0) + 1
+    weights = dict(spec._weights)
     expected = (spec.s ** (spec.d + 1) - 1) // (spec.s - 1)
     if sum(weights.values()) != expected:  # pragma: no cover
         raise SoundnessError("projected weight total broke")
-    return WeightedProjectiveSet(F, weights)
+    return WeightedProjectiveSet(spec.field, weights)
 
 
 @dataclass(frozen=True)

@@ -528,8 +528,7 @@ def complete_set(query: CompletionQuery) -> CompletionResult:
     found = []
 
     def extend(chosen, start):
-        if len(found) >= query.cap:
-            return
+        # entered only below the cap: the loop below stops once it is reached
         if len(chosen) == eps:
             found.append(tuple(sorted(pts + chosen)))
             return

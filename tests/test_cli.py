@@ -295,6 +295,34 @@ def test_realize_names_a_missing_spec_field(capsys, tmp_path):
     assert captured.err == f"error: {spec}: spec field 'h' is missing\n"
 
 
+def test_realize_refuses_a_span_above_the_bound(capsys, tmp_path, monkeypatch):
+    # the k x k identity over GF(4) with s = 2 spans 2^k points: k = 18 is
+    # refused before the subgeometry is walked, k = 16 (2^16) still realizes
+    from dirsets import linsets
+
+    def identity_spec(k):
+        spec = tmp_path / f"identity{k}.json"
+        spec.write_text(json.dumps({
+            "p": 2, "h": 2, "s": 2,
+            "projection_matrix": [[int(i == j) for j in range(k)] for i in range(k)]}))
+        return str(spec)
+
+    def walked(*args):
+        raise AssertionError("the subgeometry was walked")
+
+    with monkeypatch.context() as m:
+        m.setattr(linsets, "_subgeometry_points", walked)
+        assert main(["realize", "--spec", identity_spec(18)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: span of 2^18 = 262144 points exceeds bound 65536\n"
+    assert linsets.MAX_SPAN_POINTS == 1 << 16
+    rc, out = run(capsys, ["realize", "--spec", identity_spec(16)])
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[3] == "2 2" and len(lines) == 4 + (1 << 16)
+
+
 _PLANE_SPEC = {"p": 2, "h": 2, "s": 2, "projection_matrix": [[1, 0], [0, 1]]}
 
 
@@ -402,14 +430,6 @@ def test_module_entry_point():
     proc = _run_python(["-m", "dirsets", "directions", "--set", E1])
     assert proc.returncode == 0
     assert "D = {0, 1, inf}" in proc.stdout
-
-
-def test_congruence_sweep_script():
-    script = os.path.join(os.path.dirname(SRC), "scripts", "congruence_sweep.py")
-    proc = _run_python([script, "--q", "4", "--s", "2", "--max-rank", "3"])
-    assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
-        "cc9f9b71c7e11889cb9cbe4b6b9dec0bdd3e02718745d45b8eea0e7ae2d5598a")
 
 
 def test_soundness_alarm_exit_code(capsys, monkeypatch):

@@ -109,6 +109,16 @@ def test_line_congruence_subfield_plane(gf9):
     assert rep.passed
 
 
+def test_line_congruence_failure_entries(gf3, gf4):
+    # entries are (slope, intercept, total), the ideal line as (q + 1, None, |D|)
+    rep = check_line_congruence(pts(gf3, [(0, 0), (0, 1), (1, 0)]), modulus=3)
+    assert rep.failures == ((0, 1, 2), (2, 0, 2), (3, 1, 2))
+    assert rep.passed is False
+    rep = check_line_congruence(pts(gf4, [(0, 0), (0, 1), (1, 0)]), modulus=4)
+    assert len(rep.failures) == 7 and rep.failures[-1] == (5, None, 3)
+    assert rep.lines_checked == 21 and rep.passed is False
+
+
 def test_line_congruence_not_applicable(gf5, collinear3_gf5):
     rep = check_line_congruence(collinear3_gf5)
     assert not rep.applicable and rep.modulus == 1

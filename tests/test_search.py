@@ -252,6 +252,13 @@ def test_canonical_form_needs_no_group_table():
     assert canonical_form(U) == (0, 1, 64)
 
 
+def test_canonical_form_at_q11_is_pinned():
+    # X = 0 holds 4 points, but {0, 1, 3, 4} has no three-term progression:
+    # the least form starts on the 3-point line Y = 0, not on a richest line
+    U = pts(make_field(11, 1), [(0, 0), (0, 1), (0, 3), (0, 4), (1, 0), (2, 0)])
+    assert canonical_form(U) == (0, 1, 2, 11, 33, 44)
+
+
 def test_is_maximal_collineation_invariant():
     for q, params in ((3, (3, 1)), (4, (2, 2)), (5, (5, 1))):
         F = make_field(*params)
@@ -353,6 +360,14 @@ def test_complete_square_minus_point(gf4):
 def test_complete_full_size_returns_self(unit_square):
     res = complete_set(CompletionQuery(unit_square, enforce=False))
     assert res.extensions == (tuple(sorted(unit_square.points)),)
+
+
+def test_complete_stops_at_the_cap(gf8):
+    U = pts(gf8, [(1, 4), (3, 2), (6, 0), (7, 1), (7, 4)])
+    every = complete_set(CompletionQuery(U, enforce=False)).extensions
+    assert len(every) == 6
+    capped = complete_set(CompletionQuery(U, enforce=False, cap=1)).extensions
+    assert capped == every[:1]
 
 
 def test_complete_collinear_unique(gf5):
