@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .field import (Field, SoundnessError, make_field, prime_power_parts,
@@ -95,13 +95,19 @@ class Verdict:
     case: int | None = None
     checks: tuple = ()
     notes: tuple = ()
+    # "pass", "fail" or "inapplicable", worked out once, when the verdict
+    # is built, so every set that shares a cached verdict shares it too
+    outcome: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "outcome", "inapplicable" if not self.applicable
+                           else "pass" if all(c.holds for c in self.checks)
+                           else "fail")
 
     @property
     def holds(self):
         """True/False when applicable, None otherwise."""
-        if not self.applicable:
-            return None
-        return all(c.holds for c in self.checks)
+        return self.outcome == "pass" if self.applicable else None
 
     def as_dict(self):
         return {
@@ -121,11 +127,17 @@ def _cmp(label, lhs, rel, rhs) -> Check:
     return Check(label, lhs, rel, rhs, _RELATIONS[rel](lhs, rhs))
 
 
+# A verdict that is a function of a few integers is built once per
+# distinct key by a functools.cache helper, and every set with that key
+# shares it: Verdict is frozen and its fields are tuples.  The keys range
+# over small integers (q, |U|, |D|, the moduli, ...), so the caches stay
+# small; root-power-bound and power-membership, whose keys would be as
+# large as their verdicts, build theirs per set.
+
 @functools.cache
 def _inapplicable(stmt: str, why: str) -> Verdict:
-    """One shared verdict per (statement, reason): Verdict is frozen and
-    its fields are tuples, and a reason names at most q, so the cache stays
-    small while most verdicts of a sweep are inapplicable."""
+    """One shared verdict per (statement, reason); a reason names at most
+    q, and most verdicts of a sweep are inapplicable."""
     return Verdict(stmt, False, notes=(why,))
 
 
@@ -165,7 +177,14 @@ def classify_direction_trichotomy(U) -> Verdict:
         raise SoundnessError("more than q points but not all directions determined")
     s = table.geo.modulus
     t = table.alg.modulus
-    D = len(table.dirs)
+    cross = _counting_cross_check(table, s) if t != q and s != 1 else None
+    return _trichotomy_verdict(q, n, s, t, len(table.dirs), cross)
+
+
+@functools.cache
+def _trichotomy_verdict(q: int, n: int, s: int, t: int, D: int, cross) -> Verdict:
+    """thm-m's verdict; cross is the counting cross-check's outcome in
+    case 2 (see _counting_cross_check), else None."""
     checks = [_cmp("geometric <= algebraic modulus", s, "<=", t)]
     if t == q:
         case = 3
@@ -179,15 +198,25 @@ def classify_direction_trichotomy(U) -> Verdict:
         else:
             case = 2
             checks.append(_cmp("upper bound", Fraction(D), "<=", Fraction(n - 1, s - 1)))
-            checks.extend(_counting_cross_check(table, s))
-    return Verdict(stmt, True, case, tuple(checks))
+            partition, covers_all, min_count = cross
+            checks += [_cmp("lines at set points partition the set",
+                            partition, "==", n - 1),
+                       Check("every determined slope appears at every set point",
+                             "slopes at set points", "==", "determined directions",
+                             covers_all),
+                       _cmp("line counts at set points reach the modulus",
+                            min_count, ">=", s),
+                       _cmp("counting bound", D * (s - 1), "<=", n - 1)]
+    return Verdict("thm-m", True, case, tuple(checks))
 
 
-def _counting_cross_check(table: SlopeTable, s: int):
+def _counting_cross_check(table: SlopeTable, s: int) -> tuple:
     """Through any set point, each line with determined slope carries at
     least s set points, and those lines partition the rest of the set:
     the sum over D of m_y(P) - 1, with m_y(P) read off the profile of y,
-    is n - 1 (the check's lhs is the first sum that is not, else n - 1)."""
+    is n - 1.  Returns (the first such sum that is not n - 1, else n - 1;
+    whether every determined slope appears at every set point; the least
+    count of set points on a line through a set point)."""
     F = table.field
     det = table.dirs.determined
     pts = sorted(table.U.points)
@@ -215,15 +244,7 @@ def _counting_cross_check(table: SlopeTable, s: int):
         counts = [c + 1 for c in per_slope.values()]
         m = min(counts) if counts else s
         min_count = m if min_count is None else min(min_count, m)
-    checks = [_cmp("lines at set points partition the set",
-                   partition, "==", n - 1),
-              Check("every determined slope appears at every set point",
-                    "slopes at set points", "==", "determined directions",
-                    covers_all),
-              _cmp("line counts at set points reach the modulus",
-                   min_count, ">=", s),
-              _cmp("counting bound", len(table.dirs) * (s - 1), "<=", n - 1)]
-    return checks
+    return partition, covers_all, min_count
 
 
 # -- the q-point trichotomy --------------------------------------------------
@@ -241,26 +262,32 @@ def classify_size_q_trichotomy(U) -> Verdict:
     if table.dirs.is_all:
         return _inapplicable(stmt, "every direction is determined")
     s = table.geo.modulus
-    D = len(table.dirs)
-    checks = []
-    notes = ()
+    verdict = _size_q_verdict(table.field, s, len(table.dirs))
+    if s <= 2:
+        return verdict
+    check, notes = _linearity_check(table, s, "linearity witness generators")
+    return replace(verdict, checks=verdict.checks + (check,), notes=notes)
+
+
+@functools.cache
+def _size_q_verdict(F: Field, s: int, D: int) -> Verdict:
+    """size-q-trichotomy's verdict on a q-point set, all of it for s <= 2;
+    above that the linearity check is added per set."""
+    q = F.q
     if s == 1:
         case = 1
-        checks.append(_cmp("lower bound", Fraction(q + 3, 2), "<=", Fraction(D)))
-        checks.append(_cmp("upper bound", D, "<=", q))
+        checks = (_cmp("lower bound", Fraction(q + 3, 2), "<=", Fraction(D)),
+                  _cmp("upper bound", D, "<=", q))
     elif s == q:
         case = 3
-        checks.append(_cmp("single direction", D, "==", 1))
+        checks = (_cmp("single direction", D, "==", 1),)
     else:
         case = 2
-        checks.append(Check("modulus is a subfield order", s, "in",
-                            "subfield orders", s in subfield_orders(table.field)))
-        checks.append(_cmp("lower bound", q // s + 1, "<=", D))
-        checks.append(_cmp("upper bound", D, "<=", Fraction(q - 1, s - 1)))
-    if s > 2:
-        check, notes = _linearity_check(table, s, "linearity witness generators")
-        checks.append(check)
-    return Verdict(stmt, True, case, tuple(checks), notes)
+        checks = (Check("modulus is a subfield order", s, "in",
+                        "subfield orders", s in subfield_orders(F)),
+                  _cmp("lower bound", q // s + 1, "<=", D),
+                  _cmp("upper bound", D, "<=", Fraction(q - 1, s - 1)))
+    return Verdict("size-q-trichotomy", True, case, checks)
 
 
 # -- the prime-order dichotomy -----------------------------------------------
@@ -279,22 +306,30 @@ def classify_prime_dichotomy(U) -> Verdict:
     if table.dirs.is_all:
         return _inapplicable(stmt, "every direction is determined")
     D = len(table.dirs)
-    notes = []
+    collinear = None
     if D == 1:
-        case = 2
         pts = sorted(table.U.points)
         base_dir = direction_of(F, pts[0], pts[1])
         collinear = all(direction_of(F, pts[0], u) == base_dir for u in pts[2:])
+    return _prime_verdict(F.q, n, D, collinear)
+
+
+@functools.cache
+def _prime_verdict(q: int, n: int, D: int, collinear) -> Verdict:
+    """prime-dichotomy's verdict; collinear is None unless |D| = 1."""
+    notes = ()
+    if D == 1:
+        case = 2
         checks = (Check("points are collinear", "set", "is", "collinear", collinear),
                   _cmp("single direction", D, "==", 1))
     else:
         case = 1
         checks = (_cmp("lower bound", Fraction(n + 3, 2), "<=", Fraction(D)),
-                  _cmp("upper bound", D, "<=", F.q))
+                  _cmp("upper bound", D, "<=", q))
         sharp_at = Fraction(n + 3, 2)
         if sharp_at.denominator == 1 and D == sharp_at:
-            notes.append("sharp")
-    return Verdict(stmt, True, case, tuple(checks), tuple(notes))
+            notes = ("sharp",)
+    return Verdict("prime-dichotomy", True, case, checks, notes)
 
 
 # -- incidence congruence ------------------------------------------------------
@@ -307,15 +342,24 @@ def line_congruence_verdict(U) -> Verdict:
         why = ("geometric modulus is 1; congruence vacuous" if rep.modulus == 1
                else "no determined direction")
         return _inapplicable(stmt, why)
+    m = rep.modulus
+    return _congruence_verdict(len(rep.failures), len(table.U) % m,
+                               len(table.dirs) % m, bool(rep.size_congruent),
+                               bool(rep.directions_congruent), m)
+
+
+@functools.cache
+def _congruence_verdict(failures: int, size_rest: int, dirs_rest: int,
+                        size_ok: bool, dirs_ok: bool, m: int) -> Verdict:
+    """line-congruence's verdict from the failure count, |U| and |D|
+    modulo m and the two congruence flags."""
     checks = (
-        Check("lines meet in 0 or 1 mod m points", len(rep.failures), "==", 0,
-              not rep.failures),
-        Check("set size is 0 mod m", len(table.U) % rep.modulus, "==", 0,
-              bool(rep.size_congruent)),
-        Check("direction count is 1 mod m", len(table.dirs) % rep.modulus, "==", 1,
-              bool(rep.directions_congruent)),
+        Check("lines meet in 0 or 1 mod m points", failures, "==", 0,
+              not failures),
+        Check("set size is 0 mod m", size_rest, "==", 0, size_ok),
+        Check("direction count is 1 mod m", dirs_rest, "==", 1, dirs_ok),
     )
-    return Verdict(stmt, True, None, checks, (f"modulus {rep.modulus}",))
+    return Verdict("line-congruence", True, None, checks, (f"modulus {m}",))
 
 
 # -- tail lemmas ---------------------------------------------------------------
@@ -340,10 +384,13 @@ def tail_degree_bound(U) -> Verdict:
     why = _tail_lemmas_applicable(table)
     if why:
         return _inapplicable(stmt, why)
-    deg = table.deg_x_tail
-    checks = (_cmp("direction count exceeds tail degree",
-                   len(table.dirs), ">=", deg + 1),)
-    return Verdict(stmt, True, None, checks)
+    return _tail_degree_verdict(len(table.dirs), table.deg_x_tail)
+
+
+@functools.cache
+def _tail_degree_verdict(D: int, deg: int) -> Verdict:
+    return Verdict("tail-degree-bound", True, None,
+                   (_cmp("direction count exceeds tail degree", D, ">=", deg + 1),))
 
 
 def root_power_bound(U) -> Verdict:
@@ -386,9 +433,12 @@ def moduli_order(U) -> Verdict:
         return _inapplicable(stmt, "no determined direction")
     if len(table.U) > table.field.q:
         return _inapplicable(stmt, "tail system needs at most q points")
-    s = table.geo.modulus
-    t = table.alg.modulus
-    return Verdict(stmt, True, None, (_cmp("modulus order", s, "<=", t),))
+    return _moduli_order_verdict(table.geo.modulus, table.alg.modulus)
+
+
+@functools.cache
+def _moduli_order_verdict(s: int, t: int) -> Verdict:
+    return Verdict("moduli-order", True, None, (_cmp("modulus order", s, "<=", t),))
 
 
 # -- power-basis memberships ------------------------------------------------------
@@ -418,9 +468,15 @@ def power_span_verdict(U) -> Verdict:
     # from X^1 up, those of T are the union of the T(X,y)'s (see SlopeTable)
     q, t = table.field.q, table.alg.modulus
     exps = {q}.union(*(polys.p_exponents(table.tail(y)) for y in range(q)))
-    bad = sorted(e for e in exps if e not in (0, 1) and e % t)
-    notes = (f"offending exponents: {bad}",) if bad else ()
-    return Verdict(stmt, True, None,
+    return _power_span_verdict(tuple(sorted(e for e in exps
+                                            if e not in (0, 1) and e % t)))
+
+
+@functools.cache
+def _power_span_verdict(bad: tuple) -> Verdict:
+    """power-span's verdict from its offending exponents, in order."""
+    notes = (f"offending exponents: {list(bad)}",) if bad else ()
+    return Verdict("power-span", True, None,
                    (Check("X-exponents lie in {0,1} or the modulus lattice",
                           len(bad), "==", 0, not bad),), notes)
 

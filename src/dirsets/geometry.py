@@ -13,7 +13,6 @@ is the minimum over determined directions.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import gcd
 
@@ -21,7 +20,8 @@ from .field import Field, make_field
 
 __all__ = [
     "AffinePointSet", "DirectionSet", "GeometricInvariants", "LineCongruence",
-    "LineTable", "direction_of", "directions_of", "line_profile", "direction_modulus",
+    "LineTable", "direction_of", "directions_of", "line_profile", "profile_key",
+    "direction_modulus",
     "geometric_invariants", "check_line_congruence", "apply_collineation",
     "extension_points", "is_maximal", "format_direction",
 ]
@@ -126,7 +126,10 @@ class DirectionSet:
         return len(self.determined) == self.field.q + 1
 
     def affine(self):
-        return tuple(d for d in sorted(self.determined) if d < self.field.q)
+        slopes = sorted(self.determined)
+        if slopes and slopes[-1] == self.field.q:
+            slopes.pop()
+        return tuple(slopes)
 
     def tokens(self):
         return tuple(format_direction(self.field, d) for d in sorted(self.determined))
@@ -185,6 +188,36 @@ def line_profile(U: AffinePointSet, y: int):
     return tuple(counts)
 
 
+def profile_key(profile) -> int:
+    """The sum of m_c (q+1)^c over a profile (m_0, ..., m_(q-1)), q its
+    length: one integer per profile, since a line holds at most q points
+    and so 0 <= m_c <= q."""
+    base = len(profile) + 1
+    key = 0
+    for m in reversed(profile):
+        key = key * base + m
+    return key
+
+
+class kept:
+    """A read-only attribute computed on first read and kept in the
+    instance's __dict__, where every later read finds it first: what
+    functools.cached_property does, without the lock that it takes on
+    every first read before Python 3.12 (one per set and attribute in a
+    sweep)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class LineTable:
     """The line profiles of one point set, each counted on first read, and
     the per-set facts built on them, each kept: directions, geometric
@@ -192,7 +225,8 @@ class LineTable:
     table wherever they accept a point set.  A caller that keeps line
     counts up to date point by point (an exhaustive sweep's walk) passes
     lines = (D, profile reader): the table then starts with D and takes
-    each profile from reader(y) on first read.
+    each profile from reader(y) on first read, and each profile key from
+    reader.key(y) when the reader keeps keys too.
     """
 
     def __init__(self, U: AffinePointSet, lines=None):
@@ -201,6 +235,8 @@ class LineTable:
         self._profiles = {}
         if lines is not None:
             self.dirs, self._count = lines
+            if hasattr(self._count, "key"):
+                self.key = self._count.key
 
     @classmethod
     def of(cls, U):
@@ -219,15 +255,24 @@ class LineTable:
             counts = self._profiles[y] = self._count(y)
         return counts
 
-    @functools.cached_property
+    def key(self, y: int) -> int:
+        """profile_key of direction y's profile."""
+        return profile_key(self.profile(y))
+
+    def modulus(self, y: int) -> int:
+        """s(y) = gcd(q, m_0, ..., m_(q-1)), the largest characteristic
+        power dividing every count of direction y's profile."""
+        return gcd(self.field.q, *self.profile(y))
+
+    @kept
     def dirs(self) -> DirectionSet:
         return directions_of(self.U)
 
-    @functools.cached_property
+    @kept
     def geo(self) -> GeometricInvariants:
         return geometric_invariants(self)
 
-    @functools.cached_property
+    @kept
     def maximal(self) -> bool:
         return is_maximal(self)
 
@@ -241,7 +286,7 @@ def direction_modulus(U, y: int) -> int:
     lines = LineTable.of(U)
     if not lines.U.points:
         raise ValueError("modulus of an empty point set")
-    return gcd(lines.field.q, *lines.profile(y))
+    return lines.modulus(y)
 
 
 def geometric_invariants(U) -> GeometricInvariants:
@@ -249,7 +294,7 @@ def geometric_invariants(U) -> GeometricInvariants:
     dirs = lines.dirs
     if not dirs.determined:
         raise ValueError("no determined direction: aggregate modulus undefined")
-    per = {y: direction_modulus(lines, y) for y in sorted(dirs.determined)}
+    per = {y: lines.modulus(y) for y in sorted(dirs.determined)}
     return GeometricInvariants(per, min(per.values()))
 
 

@@ -21,24 +21,27 @@ set that the statements read, computes the specializations one slope at
 a time.  R(X,y) = prod over c of (X + c)^(m_c) is read off the line
 profile of slope y, m_c points lying on the line of intercept c, and
 likewise for the vertical direction q (lines X = c), so what a slope
-yields depends only on its profile, a tuple (the outcome of
+yields depends only on its profile (s(y) and the outcome of
 power-membership's checks at the slope included), and a sweep's tables
-share it through one slope memo keyed by the profile.  Every per-slope
-fact is read through SlopeTable (tail, power, kappa, membership) and
-every set-level t through its alg; the statements read the table
-itself, with no wrapper between.  t and deg_X T are affine invariants
-(see SlopeTable), so no direction is moved to the vertical one first.
+share it through one slope memo keyed by the profile's integer key,
+which an exhaustive sweep's walk keeps up to date point by point.  The
+alarms that depend on the profile alone run once per memo entry, the
+ones that involve the set on every read (see SlopeTable).  Every
+per-slope fact is read through SlopeTable (modulus, tail, power, kappa,
+membership) and every set-level t through its alg; the statements read
+the table itself, with no wrapper between.  t and deg_X T are affine
+invariants (see SlopeTable), so no direction is moved to the vertical
+one first.
 RedeiSystem serves the `redei` verb and is the reference the tests
 compare the table against.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .field import Field, SoundnessError
-from .geometry import AffinePointSet, LineTable
+from .geometry import AffinePointSet, LineTable, kept
 from . import polys
 from .polys import (p_add, p_degree, p_eval, p_frob_root, p_mul, p_neg,
                     p_sub, p_trim, in_power_basis, x_power_minus_x)
@@ -349,15 +352,15 @@ SLOPE_MEMO_CAP = 1 << 14
 
 
 class _SlopeAlgebra:
-    """What a line profile fixes: T(X,y), and its TailData, kappa(y) and
-    the power-membership outcome (determined, ok, note) of slope y, each
-    None until first read."""
+    """What a line profile fixes: s(y), set when the entry is made, and
+    T(X,y), its TailData, kappa(y) and the power-membership outcome
+    (determined, ok, note) of slope y, each None until first read."""
 
-    __slots__ = ("tail", "power", "kappa", "membership")
+    __slots__ = ("modulus", "tail", "power", "kappa", "membership")
 
-    def __init__(self, tail: tuple):
-        self.tail = tail
-        self.power = self.kappa = self.membership = None
+    def __init__(self, modulus: int):
+        self.modulus = modulus
+        self.tail = self.power = self.kappa = self.membership = None
 
 
 class SlopeTable(LineTable):
@@ -368,20 +371,28 @@ class SlopeTable(LineTable):
     profile (m_0, ..., m_(q-1)) of direction y, and so do T(X,y), Q(X,y),
     t(y), the power root, deg T(X,y) and kappa(y).  So does the outcome of
     power-membership at slope y: y is determined iff some m_c >= 2, its
-    geometric modulus is gcd(q, m_0, ..., m_(q-1)), the sharper quotient
-    bound depends on |U| = m_0 + ... + m_(q-1), and the checks read only
-    R(X,y), Q(X,y) and T(X,y).  They are kept in a slope memo keyed by
-    the profile, a tuple: an entry is made with T(X,y), and its TailData,
-    kappa(y) and that outcome are filled on first read.  Each read of
-    tail, power, kappa or membership probes the memo once, and only this
-    class reads or writes an entry.  A sweep passes one memo to every
-    table it builds, so a profile that recurs across sets is divided out
-    once; a table built without one gets its own.  A memo serves one
-    field.  It stores at most SLOPE_MEMO_CAP profiles; past that, a read
-    of a new profile computes what it needs and stores nothing.  The
-    checks that involve the set itself (|U| <= q, y determined, no -X
-    tail on a determined direction, kappa(y) >= |U| there) run on every
-    read.
+    geometric modulus s(y) is gcd(q, m_0, ..., m_(q-1)), the sharper
+    quotient bound depends on |U| = m_0 + ... + m_(q-1), and the checks
+    read only R(X,y), Q(X,y) and T(X,y).  They are kept in a slope memo
+    keyed by the profile's key, sum of m_c (q+1)^c (geometry.profile_key;
+    one integer per profile, as 0 <= m_c <= q).  An entry is made on the
+    first read of any of them and holds s(y) from then on, so geo reads
+    s(y) off the memo (modulus(y)); T(X,y), its TailData, kappa(y) and
+    that outcome are filled on first read.  Each read probes the memo
+    once, and only this class reads or writes an entry.  A sweep passes
+    one memo to every table it builds, so a profile that recurs across
+    sets is divided out once; a table built without one gets its own.  A
+    memo serves one field.  It stores at most SLOPE_MEMO_CAP profiles;
+    past that, a read of a new profile computes what it needs and stores
+    nothing.
+
+    The alarms that depend on the profile alone run once per entry, when
+    its TailData is filled: a determined slope with the tail -X of a free
+    one, and s(y) > t(y).  A failed check leaves the entry unfilled, so
+    it fires again on every later read.  The checks that involve the set
+    itself run on every read: 1 <= |U| <= q for any read that needs the
+    tail, y determined for power, kappa(y) >= |U| on a determined
+    direction, and s <= t in aggregate (algebraic_invariants).
 
     The bivariate system specializes slope by slope, R(X,y) Q(X,y) =
     X^q + T(X,y), so its set-level facts are read off the q specialized
@@ -413,19 +424,31 @@ class SlopeTable(LineTable):
     def __init__(self, U: AffinePointSet, memo: dict | None = None, lines=None):
         super().__init__(U, lines)
         self._memo = {} if memo is None else memo
+        self._sized = 1 <= len(U.points) <= U.field.q
 
-    def _algebra(self, y: int) -> _SlopeAlgebra:
-        """The memo entry of direction y's profile, its tail filled."""
-        if not 1 <= len(self.U) <= self.field.q:
-            raise ValueError(f"need 1 <= |U| <= q, got |U| = {len(self.U)}, "
-                             f"q = {self.field.q}")
-        key = self.profile(y)
+    def _entry(self, y: int) -> _SlopeAlgebra:
+        """The memo entry of direction y's profile, made with s(y)."""
+        key = self.key(y)
         entry = self._memo.get(key)
         if entry is None:
-            entry = _SlopeAlgebra(specialized_tail(self, y))
+            entry = _SlopeAlgebra(super().modulus(y))
             if len(self._memo) < SLOPE_MEMO_CAP:
                 self._memo[key] = entry
         return entry
+
+    def _algebra(self, y: int) -> _SlopeAlgebra:
+        """The memo entry of direction y's profile, its tail filled."""
+        if not self._sized:
+            raise ValueError(f"need 1 <= |U| <= q, got |U| = {len(self.U)}, "
+                             f"q = {self.field.q}")
+        entry = self._entry(y)
+        if entry.tail is None:
+            entry.tail = specialized_tail(self, y)
+        return entry
+
+    def modulus(self, y: int) -> int:
+        """s(y), read off the memo entry."""
+        return self._entry(y).modulus
 
     def tail(self, y: int) -> tuple:
         """T(X, y) at a direction code y."""
@@ -433,16 +456,19 @@ class SlopeTable(LineTable):
 
     def power(self, y: int) -> TailData:
         """t(y), the power root and deg T(X,y) on a determined direction,
-        where T(X,y) = -X would contradict the theory."""
-        F = self.field
+        where T(X,y) = -X would contradict the theory, and so would
+        s(y) > t(y)."""
         if y not in self.dirs.determined:
             raise ValueError(f"direction {y} is not determined")
         entry = self._algebra(y)
-        t_y = entry.tail
-        if t_y == (0, F.neg(1)):
-            raise SoundnessError("determined slope produced an undetermined tail")
         if entry.power is None:
+            F = self.field
+            t_y = entry.tail
+            if t_y == (0, F.neg(1)):
+                raise SoundnessError("determined slope produced an undetermined tail")
             tau, root = tail_power(t_y, F)
+            if entry.modulus > tau:
+                raise SoundnessError("geometric modulus exceeds algebraic modulus")
             entry.power = TailData(tau, root, p_degree(t_y))
         return entry.power
 
@@ -468,7 +494,7 @@ class SlopeTable(LineTable):
             F = self.field
             r_y, q_y = self.specialization(y)
             if y in self.dirs.determined:
-                m = self.geo.per_direction[y]
+                m = entry.modulus
                 ok = in_power_basis(q_y, m) and in_power_basis(entry.tail, m)
                 note = f"modulus {m}"
                 if len(self.U) <= F.q - len(self.U):
@@ -488,12 +514,12 @@ class SlopeTable(LineTable):
         r_y = specialized_redei(F, self.profile(y))
         return r_y, polys.p_div(F, x_power_minus_x(F), r_y)
 
-    @functools.cached_property
+    @kept
     def deg_x_tail(self) -> int:
         """deg_X T, the largest deg T(X,y) over the slopes, for |U| >= 2."""
         return max(p_degree(self.tail(y)) for y in range(self.field.q))
 
-    @functools.cached_property
+    @kept
     def alg(self) -> "AlgebraicInvariants":
         return algebraic_invariants(self)
 
@@ -516,19 +542,14 @@ def algebraic_invariants(U) -> AlgebraicInvariants:
     """Tail moduli of every determined non-vertical slope plus the aggregate.
 
     Also asserts the order relation between the geometric and algebraic
-    moduli, per direction and in aggregate.
+    moduli in aggregate; SlopeTable.power asserts it per direction.
     """
     table = SlopeTable.of(U)
     dirs = table.dirs
     if not dirs.determined:
         raise ValueError("no determined direction")
-    geo = table.geo
-    per = {}
-    for y in dirs.affine():
-        per[y] = table.power(y)
-        if geo.per_direction[y] > per[y].modulus:
-            raise SoundnessError("geometric modulus exceeds algebraic modulus")
+    per = {y: table.power(y) for y in dirs.affine()}
     modulus = min((d.modulus for d in per.values()), default=table.field.q)
-    if geo.modulus > modulus:
+    if table.geo.modulus > modulus:
         raise SoundnessError("aggregate geometric modulus exceeds algebraic one")
     return AlgebraicInvariants(per, modulus)

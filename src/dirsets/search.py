@@ -31,10 +31,14 @@ to its shard's lists in stream order; the sweep sums the tallies and
 concatenates the lists in shard order, so reports are identical at
 every worker count.
 
-In exhaustive mode each table takes its directions and line profiles
-from a walk (_Walk): line counts that the worker updates point by
-point, from the last set it built to the next, keeping the prefix of
-codes the two share.  Consecutive random sets share no prefix, so
+In exhaustive mode each table takes its directions, line profiles and
+profile keys from a walk (_Walk): line counts, and the key of each
+direction's profile (geometry.profile_key), that the worker updates
+point by point, from the last set it built to the next, keeping the
+prefix of codes the two share.  A table reads the slope memo by those
+keys, so a profile the memo holds is never built as a tuple; each
+verdict carries its outcome, which the loop tallies as it is.
+Consecutive random sets share no prefix, so
 random streams count them from scratch, and so do sets of at most two
 points: the walk would move 2(q + 1) counts for what one division
 gives.
@@ -42,7 +46,6 @@ gives.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import random
@@ -118,9 +121,12 @@ class SearchConfig:
         if not 0 <= self.n_min <= n_max:
             raise ValueError("need 0 <= n_min <= n_max")
         object.__setattr__(self, "n_max", n_max)
-        for s in self.statements:
+        for i, s in enumerate(self.statements):
             if s not in STATEMENTS:
                 raise ValueError(f"unknown statement {s!r}")
+            # a repeated id would tally each of its verdicts twice
+            if s in self.statements[:i]:
+                raise ValueError(f"statement {s!r} is repeated")
         if not 1 <= self.workers <= N_SHARDS:
             raise ValueError(f"workers must be between 1 and {N_SHARDS} "
                              f"(the shard count), got {self.workers}")
@@ -251,15 +257,18 @@ class _Walk:
     """The line counts of the set last built, updated point by point.
 
     counts[y][i] is the number of points on the line of direction y and
-    intercept i, and multi[y] the number of those lines with two points
-    or more, so y is determined iff multi[y] > 0; rows[c] are the
-    intercepts of the lines through the point of code c.  A new set
-    keeps the prefix of codes it shares with the last one; the rest of
-    the last set's points are taken out and the new set's added, at
-    q + 1 counts each.  The (q+1) q counts are allocated on the first
-    set and each row on its code's first use, so past that a walk costs
-    O(q) per code it touches and O(q) per point changed, D or profile
-    read.
+    intercept i, keys[y] the key of direction y's profile, the sum of
+    counts[y][i] (q+1)^i (geometry.profile_key), and multi[y] the number
+    of those lines with two points or more, so y is determined iff
+    multi[y] > 0; rows[c] are the intercepts of the lines through the
+    point of code c, and points[c] that point.  A new set keeps the
+    prefix of codes it shares with the last one; the rest of the last
+    set's points are taken out and the new set's added, at q + 1 counts
+    and keys each.  The counts and the code-to-point list are allocated
+    on the first set and each row on its code's first use, so past that
+    a walk costs O(q) per code it touches and per point changed, O(|U|)
+    per set for its point set, and O(q) per profile read; a key read
+    costs O(1).
     """
 
     def __init__(self, F: Field):
@@ -270,13 +279,18 @@ class _Walk:
 
     def lines(self, codes):
         """(point set, D, profile reader) of the set with these sorted
-        codes; the reader serves while the walk stays at the set."""
+        codes; the reader serves while the walk stays at the set, and its
+        key(y) is the key of direction y's profile."""
         F = self.field
         q = F.q
         if self.counts is None:
             self.counts = [[0] * q for _ in range(q + 1)]
+            self.keys = [0] * (q + 1)
             self.multi = [0] * (q + 1)
-        counts, multi, rows = self.counts, self.multi, self.rows
+            self.weights = [(q + 1) ** i for i in range(q)]
+            self.points = list(itertools.product(range(q), repeat=2))
+        counts, keys, multi, rows = self.counts, self.keys, self.multi, self.rows
+        weights = self.weights
         old = self.codes
         k = 0
         for a, b in zip(old, codes):
@@ -286,26 +300,45 @@ class _Walk:
         for c in old[k:]:
             for y, i in enumerate(rows[c]):
                 line = counts[y]
-                line[i] -= 1
-                if line[i] == 1:
+                m = line[i] = line[i] - 1
+                keys[y] -= weights[i]
+                if m == 1:
                     multi[y] -= 1
         for c in codes[k:]:
             for y, i in enumerate(rows[c]):
                 line = counts[y]
-                line[i] += 1
-                if line[i] == 2:
+                m = line[i] = line[i] + 1
+                keys[y] += weights[i]
+                if m == 2:
                     multi[y] += 1
         self.codes = codes
-        U = AffinePointSet(F, frozenset(point_from_code(q, c) for c in codes))
+        U = AffinePointSet(F, frozenset(map(self.points.__getitem__, codes)))
         dirs = DirectionSet(F, frozenset(itertools.compress(range(q + 1), multi)))
-        return U, dirs, functools.partial(self.profile, codes)
+        return U, dirs, _Reader(self, codes)
 
-    def profile(self, codes, y: int):
-        """Direction y's profile of the set with these codes, a tuple that
-        outlives the walk's move to the next set."""
-        if codes is not self.codes:
+
+class _Reader:
+    """Direction y's profile (a tuple that outlives the walk's move to
+    the next set) and its key, of the set with these codes; a read after
+    the walk has moved past the set is refused."""
+
+    __slots__ = ("walk", "codes")
+
+    def __init__(self, walk: _Walk, codes):
+        self.walk = walk
+        self.codes = codes
+
+    def __call__(self, y: int):
+        walk = self.walk
+        if self.codes is not walk.codes:
             raise RuntimeError("the walk has moved past this set")
-        return tuple(self.counts[y])
+        return tuple(walk.counts[y])
+
+    def key(self, y: int) -> int:
+        walk = self.walk
+        if self.codes is not walk.codes:
+            raise RuntimeError("the walk has moved past this set")
+        return walk.keys[y]
 
 
 # -- sweeping ------------------------------------------------------------------
@@ -404,12 +437,8 @@ def _sweep_shards(cfg: SearchConfig, shard_ids, collect_rows: bool):
         U = table.U
         verdicts = [verify_statement(stmt, table) for stmt in cfg.statements]
         for stmt, verdict in zip(cfg.statements, verdicts):
-            if not verdict.applicable:
-                tallies[stmt]["inapplicable"] += 1
-            elif verdict.holds:
-                tallies[stmt]["pass"] += 1
-            else:
-                tallies[stmt]["fail"] += 1
+            tallies[stmt][verdict.outcome] += 1
+            if verdict.outcome == "fail":
                 counterexamples.append({
                     "statement": stmt,
                     "points": [list(p) for p in sorted(U.points)],

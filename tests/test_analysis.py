@@ -342,3 +342,61 @@ def test_trichotomy_specialization_sampled_p5(gf5):
             lt = next(c for c in tri.checks if c.label == "lower bound")
             ld = next(c for c in dic.checks if c.label == "lower bound")
             assert lt.lhs == ld.lhs
+
+
+# -- verdicts built once per key ---------------------------------------------------
+
+def _verdict_caches():
+    """name -> each functools.cache helper of the analysis module."""
+    import dirsets.analysis as analysis
+    return {name: fn for name, fn in vars(analysis).items()
+            if hasattr(fn, "cache_info") and fn.__module__ == analysis.__name__}
+
+
+def _cache_check_sets():
+    from test_redei import _differential_sets
+    for params in ((2, 1), (3, 1), (2, 2)):
+        F = make_field(*params)
+        yield from all_subsets(F, range(min(F.q * F.q, 6) + 1))
+    for q in (5, 7, 8, 9):
+        yield from _differential_sets(q)
+
+
+def test_cached_verdicts_equal_fresh_ones(monkeypatch):
+    # a cached helper returns the verdict of the first set with its key;
+    # every later set with that key must get what the helper would build
+    # for it afresh, bypassing the cache
+    import dirsets.analysis as analysis
+
+    caches = _verdict_caches()
+    assert {"_inapplicable", "_trichotomy_verdict", "_prime_verdict",
+            "_moduli_order_verdict", "_power_span_verdict"} <= set(caches)
+    memos = {}
+    checked = 0
+    for U in _cache_check_sets():
+        table = SlopeTable(U, memos.setdefault(U.field, {}))
+        cached = [verify_statement(stmt, table).as_dict() for stmt in STATEMENTS]
+        with monkeypatch.context() as m:
+            for name, fn in caches.items():
+                m.setattr(analysis, name, fn.__wrapped__)
+            fresh = [verify_statement(stmt, table).as_dict() for stmt in STATEMENTS]
+        assert cached == fresh, sorted(U.points)
+        checked += 1
+    # q = 2, 3, 4 up to six points, then 150 seeded sets per q
+    assert checked == 16 + 466 + 14893 + 4 * 150
+
+
+def test_verdict_caches_stay_small():
+    # every key is a few small integers (q, |U|, |D|, moduli, counts) or
+    # offending exponents below q; a key that grew with the sets would
+    # hold thousands of entries after a sweep of 39203 sets
+    from dirsets.search import SearchConfig, sweep
+
+    caches = _verdict_caches()
+    for fn in caches.values():
+        fn.cache_clear()
+    report = sweep(SearchConfig(q=4, n_max=8, statements=tuple(STATEMENTS)))
+    assert report.sets_examined == 39203 and not report.failed
+    sizes = {name: fn.cache_info().currsize for name, fn in caches.items()}
+    assert max(sizes.values()) <= 32, sizes
+    assert sizes["_prime_verdict"] == 0  # 4 is not prime

@@ -192,6 +192,19 @@ def test_search_config_file_rejected(tmp_path, capsys, content, message):
     assert message in capsys.readouterr().err
 
 
+def test_search_refuses_repeated_statement_ids(tmp_path, capsys):
+    # each verdict of a repeated id would be tallied twice
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 3, "n_max": 2,
+                               "statements": ["moduli-order", "moduli-order"]}))
+    for argv in (["--q", "3", "--n-max", "2", "--statements", "thm-m,thm-m"],
+                 ["--config", str(cfg)]):
+        assert main(["search", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "is repeated" in captured.err
+
+
 def test_search_exhaustive_refuses_seed_and_budget(capsys):
     for flags in (["--seed", "5", "--budget", "7"], ["--seed", "5"], ["--budget", "7"]):
         rc = main(["search", "--q", "3", "--n-max", "2", *flags,

@@ -8,7 +8,7 @@ from dirsets.field import make_field
 from dirsets.analysis import membership_verdict, power_span_verdict, verify_statement
 from dirsets.geometry import (AffinePointSet, LineTable, apply_collineation,
                               direction_modulus, directions_of, format_direction,
-                              geometric_invariants)
+                              geometric_invariants, line_profile, profile_key)
 from dirsets.linsets import plane_set, subfield_subspaces
 from dirsets import polys as P
 from dirsets.redei import (BivariatePoly, SlopeTable, algebraic_invariants,
@@ -344,8 +344,9 @@ def test_slope_table_matches_bivariate_system(q):
                                         if i and row}
         checked += 1
     assert checked == {2: 10, 3: 129, 4: 2516}.get(q, 150)
-    # the shared memo holds one entry per slope profile the family has
-    assert set(shared) == profiles
+    # the shared memo holds one entry per slope profile the family has,
+    # under the profile's key
+    assert set(shared) == {profile_key(p) for p in profiles}
 
 
 def test_alarms_fire_on_every_read_of_a_shared_memo(gf5, monkeypatch):
@@ -370,6 +371,27 @@ def test_alarms_fire_on_every_read_of_a_shared_memo(gf5, monkeypatch):
             table.power(0)
     # the second table read the entry the first one filled
     assert len(memo) == 1 and next(iter(memo.values())).kappa == len(U) - 1
+
+
+def test_modulus_alarm_fires_on_every_read_of_a_shared_memo(unit_square,
+                                                            monkeypatch):
+    # s(y) <= t(y) depends on the profile alone, so it is checked once, when
+    # the entry's TailData is filled; a failed check leaves the entry
+    # unfilled, and the next table that reads it fires the alarm again
+    from dirsets import redei
+    from dirsets.field import SoundnessError
+
+    monkeypatch.setattr(redei, "tail_power", lambda tail, field: (1, (0, 1)))
+    memo = {}
+    for _ in range(2):
+        table = SlopeTable(unit_square, memo)
+        assert table.modulus(0) == 2  # slope 0 meets the square in 2, 2, 0, 0
+        with pytest.raises(SoundnessError, match="geometric modulus exceeds"):
+            table.power(0)
+        with pytest.raises(SoundnessError, match="geometric modulus exceeds"):
+            table.alg
+    entry = memo[profile_key(line_profile(unit_square, 0))]
+    assert entry.modulus == 2 and entry.tail is not None and entry.power is None
 
 
 def _normal_form_sets(q):

@@ -11,7 +11,7 @@ import pytest
 
 from dirsets.field import make_field
 from dirsets.geometry import (AffinePointSet, apply_collineation, directions_of,
-                              line_profile)
+                              line_profile, profile_key)
 from dirsets.analysis import STATEMENTS, verify_statement
 from dirsets.redei import SlopeTable
 from dirsets.search import (N_SHARDS, CompletionQuery, SearchConfig,
@@ -60,6 +60,8 @@ def test_config_validation():
         SearchConfig(q=3, budget=7)
     with pytest.raises(ValueError, match="workers"):  # more workers than shards
         SearchConfig(q=3, workers=65)
+    with pytest.raises(ValueError, match="'thm-m' is repeated"):
+        SearchConfig(q=3, statements=("thm-m", "moduli-order", "thm-m"))
     assert SearchConfig(q=3, workers=64).workers == 64
     cfg = SearchConfig(q=4, n_min=1)
     assert cfg.n_max == 16 and cfg.field().q == 4
@@ -508,6 +510,46 @@ def test_walk_tables_match_profiles_from_scratch(monkeypatch, q, n_max,
     if not symmetry:
         assert count == sum(1 for codes in enumerate_sets(cfg)
                             if _set_hash(q, codes) % N_SHARDS % step == 0)
+
+
+@pytest.mark.parametrize("q,n_max,symmetry,step", [
+    (2, 4, False, 1), (2, 4, True, 1), (3, 9, False, 1), (3, 9, True, 1),
+    (4, 6, False, 1), (4, 6, True, 1), (4, 6, False, 2),
+    (5, 4, False, 1), (7, 3, False, 1), (8, 3, False, 1), (9, 3, False, 1)])
+def test_walk_keys_match_profile_keys_from_scratch(monkeypatch, q, n_max,
+                                                   symmetry, step):
+    # the walk adds (q+1)^i to a direction's key as a point joins its line
+    # of intercept i, and takes it off as the point leaves; as each table
+    # is built, each of its q + 1 keys must be the key of the profile that
+    # the set's own points give
+    from dirsets import search
+
+    walked = Counter()
+
+    class Checked(search.SlopeTable):
+        def __init__(self, U, memo=None, lines=None):
+            super().__init__(U, memo, lines)
+            if lines is not None:
+                for y in range(q + 1):
+                    assert self.key(y) == profile_key(line_profile(U, y)), \
+                        (sorted(U), y)
+                walked[len(U)] += 1
+
+    monkeypatch.setattr(search, "SlopeTable", Checked)
+    cfg = SearchConfig(q=q, n_max=n_max, symmetry=symmetry,
+                       statements=("size-q-trichotomy",))
+    search._sweep_shards(cfg, range(0, N_SHARDS, step), False)
+    assert walked and min(walked) == 3
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_profile_keys_are_injective(q):
+    # a line holds at most q points, so a profile is a vector of q counts
+    # in [0, q]: its key is that vector read as base-(q+1) digits, and the
+    # (q+1)^q vectors take the keys 0, ..., (q+1)^q - 1 once each
+    keys = sorted(profile_key(v)
+                  for v in itertools.product(range(q + 1), repeat=q))
+    assert keys == list(range((q + 1) ** q))
 
 
 def test_exhaustive_sweep_counts_no_profile_from_scratch(monkeypatch):
