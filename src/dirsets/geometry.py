@@ -21,7 +21,7 @@ from .field import Field, make_field
 __all__ = [
     "AffinePointSet", "DirectionSet", "GeometricInvariants", "LineCongruence",
     "LineTable", "direction_of", "directions_of", "line_profile", "profile_key",
-    "direction_modulus",
+    "profile_of_key", "direction_modulus",
     "geometric_invariants", "check_line_congruence", "apply_collineation",
     "extension_points", "is_maximal", "format_direction",
 ]
@@ -199,6 +199,17 @@ def profile_key(profile) -> int:
     return key
 
 
+def profile_of_key(key: int, q: int):
+    """The profile whose profile_key is key: its q base-(q+1) digits,
+    lowest first."""
+    base = q + 1
+    counts = []
+    for _ in range(q):
+        key, m = divmod(key, base)
+        counts.append(m)
+    return tuple(counts)
+
+
 class kept:
     """A read-only attribute computed on first read and kept in the
     instance's __dict__, where every later read finds it first: what
@@ -222,21 +233,20 @@ class LineTable:
     """The line profiles of one point set, each counted on first read, and
     the per-set facts built on them, each kept: directions, geometric
     invariants and maximality.  The functions of this module accept a
-    table wherever they accept a point set.  A caller that keeps line
-    counts up to date point by point (an exhaustive sweep's walk) passes
-    lines = (D, profile reader): the table then starts with D and takes
-    each profile from reader(y) on first read, and each profile key from
-    reader.key(y) when the reader keeps keys too.
+    table wherever they accept a point set.  A caller that keeps profile
+    keys up to date point by point (an exhaustive sweep's walk) passes
+    lines = (D, keys), keys[y] the profile_key of direction y's profile:
+    the table then starts with D, reads each key off keys, and decodes a
+    profile from its key (profile_of_key) on first read.
     """
 
     def __init__(self, U: AffinePointSet, lines=None):
         self.U = U
         self.field = U.field
         self._profiles = {}
+        self._keys = None
         if lines is not None:
-            self.dirs, self._count = lines
-            if hasattr(self._count, "key"):
-                self.key = self._count.key
+            self.dirs, self._keys = lines
 
     @classmethod
     def of(cls, U):
@@ -246,18 +256,19 @@ class LineTable:
             return U
         return cls(U.U if isinstance(U, LineTable) else U)
 
-    def _count(self, y: int):
-        return line_profile(self.U, y)
-
     def profile(self, y: int):
         counts = self._profiles.get(y)
         if counts is None:
-            counts = self._profiles[y] = self._count(y)
+            keys = self._keys
+            counts = self._profiles[y] = (
+                line_profile(self.U, y) if keys is None
+                else profile_of_key(keys[y], self.field.q))
         return counts
 
     def key(self, y: int) -> int:
         """profile_key of direction y's profile."""
-        return profile_key(self.profile(y))
+        keys = self._keys
+        return profile_key(self.profile(y)) if keys is None else keys[y]
 
     def modulus(self, y: int) -> int:
         """s(y) = gcd(q, m_0, ..., m_(q-1)), the largest characteristic

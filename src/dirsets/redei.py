@@ -346,8 +346,10 @@ class TailData:
     tail_degree: int
 
 
-# the most profiles one slope memo keeps; a sweep at q <= 8 stays below it
-# (at most C(2q, q) profiles have |U| <= q), while q = 16 has C(32, 16)
+# the most profiles one slope memo keeps.  The C(2q, q) profiles of sets of
+# at most q points fit below it at q <= 8 (12870 at q = 8; q = 16 has
+# C(32, 16)), but an entry made for s(y) alone, on a set of more than q
+# points, counts too: a random q = 8 sweep of 2 to 40 points fills it
 SLOPE_MEMO_CAP = 1 << 14
 
 

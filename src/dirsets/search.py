@@ -31,16 +31,17 @@ to its shard's lists in stream order; the sweep sums the tallies and
 concatenates the lists in shard order, so reports are identical at
 every worker count.
 
-In exhaustive mode each table takes its directions, line profiles and
-profile keys from a walk (_Walk): line counts, and the key of each
-direction's profile (geometry.profile_key), that the worker updates
-point by point, from the last set it built to the next, keeping the
-prefix of codes the two share.  A table reads the slope memo by those
-keys, so a profile the memo holds is never built as a tuple; each
-verdict carries its outcome, which the loop tallies as it is.
+In exhaustive mode each table takes its directions and profile keys
+from a walk (_Walk): the key of each direction's profile
+(geometry.profile_key), which the worker updates point by point, from
+the last set it built to the next, keeping the prefix of codes the two
+share, and hands to the table as a tuple.  A table reads the
+slope memo by those keys and decodes a profile from its key only when
+one is read, so a profile the memo holds is never built as a tuple;
+each verdict carries its outcome, which the loop tallies as it is.
 Consecutive random sets share no prefix, so
 random streams count them from scratch, and so do sets of at most two
-points: the walk would move 2(q + 1) counts for what one division
+points: the walk would move 2(q + 1) keys for what one division
 gives.
 """
 
@@ -238,9 +239,10 @@ def _canonical_children(F: Field, parents, shards):
 
 
 class _Rows(dict):
-    """Point code c = a*q + b -> the intercepts of the q + 1 lines through
-    its point: b - y*a for the slopes y < q, then a for the vertical
-    direction q; each computed on first use."""
+    """Point code c = a*q + b -> the key increments (q+1)^i of the q + 1
+    lines through its point, i the line's intercept: b - y*a for the
+    slopes y < q, then a for the vertical direction q; each computed on
+    first use."""
 
     def __init__(self, F: Field):
         super().__init__()
@@ -248,49 +250,47 @@ class _Rows(dict):
 
     def __missing__(self, c: int) -> tuple:
         F = self.field
+        base = F.q + 1
         a, b = point_from_code(F.q, c)
-        row = self[c] = tuple(F.sub(b, F.mul(y, a)) for y in range(F.q)) + (a,)
+        row = self[c] = tuple(base ** F.sub(b, F.mul(y, a))
+                              for y in range(F.q)) + (base ** a,)
         return row
 
 
 class _Walk:
-    """The line counts of the set last built, updated point by point.
+    """The profile keys of the set last built, updated point by point.
 
-    counts[y][i] is the number of points on the line of direction y and
-    intercept i, keys[y] the key of direction y's profile, the sum of
-    counts[y][i] (q+1)^i (geometry.profile_key), and multi[y] the number
-    of those lines with two points or more, so y is determined iff
-    multi[y] > 0; rows[c] are the intercepts of the lines through the
-    point of code c, and points[c] that point.  A new set keeps the
-    prefix of codes it shares with the last one; the rest of the last
-    set's points are taken out and the new set's added, at q + 1 counts
-    and keys each.  The counts and the code-to-point list are allocated
-    on the first set and each row on its code's first use, so past that
-    a walk costs O(q) per code it touches and per point changed, O(|U|)
-    per set for its point set, and O(q) per profile read; a key read
-    costs O(1).
+    keys[y] is the key of direction y's profile, the sum of m_i (q+1)^i
+    with m_i points on its line of intercept i (geometry.profile_key),
+    and multi[y] the number of those lines with two points or more, so y
+    is determined iff multi[y] > 0; rows[c] are the increments of the
+    point of code c (_Rows), and points[c] that point.  A new set keeps
+    the prefix of codes it shares with the last one; the rest of the last
+    set's points are taken out and the new set's added, at q + 1 keys
+    each: a point joining or leaving a line adds or takes off its
+    increment w, and that line's count is the digit keys[y] // w % (q+1).
+    The code-to-point list is allocated on the first set and each row on
+    its code's first use, so past that a walk costs O(q) per code it
+    touches and per point changed, and O(|U|) per set for its point set.
     """
 
     def __init__(self, F: Field):
         self.field = F
         self.rows = _Rows(F)
-        self.counts = None
+        self.keys = [0] * (F.q + 1)
+        self.multi = [0] * (F.q + 1)
+        self.points = None
         self.codes = ()
 
     def lines(self, codes):
-        """(point set, D, profile reader) of the set with these sorted
-        codes; the reader serves while the walk stays at the set, and its
-        key(y) is the key of direction y's profile."""
+        """(point set, D, keys) of the set with these sorted codes, keys
+        the tuple of its q + 1 profile keys."""
         F = self.field
         q = F.q
-        if self.counts is None:
-            self.counts = [[0] * q for _ in range(q + 1)]
-            self.keys = [0] * (q + 1)
-            self.multi = [0] * (q + 1)
-            self.weights = [(q + 1) ** i for i in range(q)]
+        if self.points is None:
             self.points = list(itertools.product(range(q), repeat=2))
-        counts, keys, multi, rows = self.counts, self.keys, self.multi, self.rows
-        weights = self.weights
+        keys, multi, rows = self.keys, self.multi, self.rows
+        base = q + 1
         old = self.codes
         k = 0
         for a, b in zip(old, codes):
@@ -298,47 +298,19 @@ class _Walk:
                 break
             k += 1
         for c in old[k:]:
-            for y, i in enumerate(rows[c]):
-                line = counts[y]
-                m = line[i] = line[i] - 1
-                keys[y] -= weights[i]
-                if m == 1:
+            for y, w in enumerate(rows[c]):
+                key = keys[y] = keys[y] - w
+                if key // w % base == 1:
                     multi[y] -= 1
         for c in codes[k:]:
-            for y, i in enumerate(rows[c]):
-                line = counts[y]
-                m = line[i] = line[i] + 1
-                keys[y] += weights[i]
-                if m == 2:
+            for y, w in enumerate(rows[c]):
+                key = keys[y] = keys[y] + w
+                if key // w % base == 2:
                     multi[y] += 1
         self.codes = codes
         U = AffinePointSet(F, frozenset(map(self.points.__getitem__, codes)))
         dirs = DirectionSet(F, frozenset(itertools.compress(range(q + 1), multi)))
-        return U, dirs, _Reader(self, codes)
-
-
-class _Reader:
-    """Direction y's profile (a tuple that outlives the walk's move to
-    the next set) and its key, of the set with these codes; a read after
-    the walk has moved past the set is refused."""
-
-    __slots__ = ("walk", "codes")
-
-    def __init__(self, walk: _Walk, codes):
-        self.walk = walk
-        self.codes = codes
-
-    def __call__(self, y: int):
-        walk = self.walk
-        if self.codes is not walk.codes:
-            raise RuntimeError("the walk has moved past this set")
-        return tuple(walk.counts[y])
-
-    def key(self, y: int) -> int:
-        walk = self.walk
-        if self.codes is not walk.codes:
-            raise RuntimeError("the walk has moved past this set")
-        return walk.keys[y]
+        return U, dirs, tuple(keys)
 
 
 # -- sweeping ------------------------------------------------------------------
@@ -429,8 +401,8 @@ def _sweep_shards(cfg: SearchConfig, shard_ids, collect_rows: bool):
         if not (cfg.statements or collect_rows):
             continue  # nothing would read the set's table
         if walk is not None and len(codes) >= 3:
-            U, dirs, reader = walk.lines(codes)
-            table = SlopeTable(U, memo, (dirs, reader))
+            U, dirs, keys = walk.lines(codes)
+            table = SlopeTable(U, memo, (dirs, keys))
         else:
             table = SlopeTable(AffinePointSet.of(
                 F, [point_from_code(q, c) for c in codes]), memo)

@@ -61,11 +61,11 @@ def test_trichotomy_partition_check_reads_the_profiles(unit_square):
     # a table whose slope-0 profile (2, 0, 2, 0) disagrees with the points
     # (whose profile is (2, 2, 0, 0)) keeps s = 2 and case 2, but the lines
     # through (0, 1) no longer hold the three other points
-    from dirsets.geometry import directions_of, line_profile
-    wrong = {0: (2, 0, 2, 0)}
-    table = SlopeTable(unit_square, lines=(
-        directions_of(unit_square),
-        lambda y: wrong.get(y) or line_profile(unit_square, y)))
+    from dirsets.geometry import directions_of, line_profile, profile_key
+    keys = [profile_key(line_profile(unit_square, y)) for y in range(5)]
+    keys[0] = profile_key((2, 0, 2, 0))
+    table = SlopeTable(unit_square, lines=(directions_of(unit_square),
+                                           tuple(keys)))
     v = classify_direction_trichotomy(table)
     assert v.applicable and v.case == 2 and not v.holds
     failed = [c for c in v.checks if not c.holds]

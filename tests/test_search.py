@@ -11,7 +11,7 @@ import pytest
 
 from dirsets.field import make_field
 from dirsets.geometry import (AffinePointSet, apply_collineation, directions_of,
-                              line_profile, profile_key)
+                              line_profile, profile_key, profile_of_key)
 from dirsets.analysis import STATEMENTS, verify_statement
 from dirsets.redei import SlopeTable
 from dirsets.search import (N_SHARDS, CompletionQuery, SearchConfig,
@@ -475,7 +475,8 @@ def test_successive_sweeps_do_not_share_the_slope_memo(monkeypatch):
 @pytest.mark.parametrize("q,n_max,symmetry,step", [
     (2, 4, False, 1), (2, 4, True, 1), (3, 9, False, 1), (3, 9, True, 1),
     (4, 6, False, 1), (4, 6, True, 1), (4, 6, False, 2),
-    (5, 4, False, 1), (7, 3, False, 1), (8, 3, False, 1), (9, 3, False, 1)])
+    (5, 4, False, 1), (7, 3, False, 1), (8, 3, False, 1), (9, 3, False, 1),
+    (16, 4, True, 1), (27, 3, True, 1)])
 def test_walk_tables_match_profiles_from_scratch(monkeypatch, q, n_max,
                                                  symmetry, step):
     # the exhaustive sweep reads each table of three points or more off
@@ -515,7 +516,8 @@ def test_walk_tables_match_profiles_from_scratch(monkeypatch, q, n_max,
 @pytest.mark.parametrize("q,n_max,symmetry,step", [
     (2, 4, False, 1), (2, 4, True, 1), (3, 9, False, 1), (3, 9, True, 1),
     (4, 6, False, 1), (4, 6, True, 1), (4, 6, False, 2),
-    (5, 4, False, 1), (7, 3, False, 1), (8, 3, False, 1), (9, 3, False, 1)])
+    (5, 4, False, 1), (7, 3, False, 1), (8, 3, False, 1), (9, 3, False, 1),
+    (16, 4, True, 1), (27, 3, True, 1)])
 def test_walk_keys_match_profile_keys_from_scratch(monkeypatch, q, n_max,
                                                    symmetry, step):
     # the walk adds (q+1)^i to a direction's key as a point joins its line
@@ -547,9 +549,21 @@ def test_profile_keys_are_injective(q):
     # a line holds at most q points, so a profile is a vector of q counts
     # in [0, q]: its key is that vector read as base-(q+1) digits, and the
     # (q+1)^q vectors take the keys 0, ..., (q+1)^q - 1 once each
-    keys = sorted(profile_key(v)
-                  for v in itertools.product(range(q + 1), repeat=q))
+    vectors = list(itertools.product(range(q + 1), repeat=q))
+    keys = sorted(profile_key(v) for v in vectors)
     assert keys == list(range((q + 1) ** q))
+    assert all(profile_of_key(profile_key(v), q) == v for v in vectors)
+
+
+@pytest.mark.parametrize("q", [27, 32])
+def test_profile_of_key_inverts_large_keys(q):
+    # past q = 16 a key exceeds 2^64; decoding must still give back the
+    # counts digit by digit
+    rng = random.Random(q)
+    vectors = [(q,) * q] + [tuple(rng.randint(0, q) for _ in range(q))
+                            for _ in range(200)]
+    assert profile_key(vectors[0]) == (q + 1) ** q - 1 > 2 ** 64
+    assert all(profile_of_key(profile_key(v), q) == v for v in vectors)
 
 
 def test_exhaustive_sweep_counts_no_profile_from_scratch(monkeypatch):
@@ -636,13 +650,18 @@ def test_statement_free_sweep_builds_no_table(monkeypatch):
     assert sweep(SearchConfig(q=4, n_max=3, workers=1)).sets_examined == 697
 
 
-def test_walk_table_reads_no_profile_after_the_walk_moves():
+def test_walk_table_keeps_its_set_after_the_walk_moves():
+    # a walk table holds a snapshot of its set's keys, so it reads the
+    # same profiles, keys and D however far the walk has moved on
     from dirsets import search
 
     F = make_field(5, 1)
     walk = search._Walk(F)
-    U, dirs, count = walk.lines((0, 1, 7))
-    assert count(0) == line_profile(U, 0) and dirs == directions_of(U)
+    U, dirs, keys = walk.lines((0, 1, 7))
+    table = SlopeTable(U, None, (dirs, keys))
     walk.lines((0, 1, 8))
-    with pytest.raises(RuntimeError, match="moved past"):
-        count(0)
+    walk.lines((2, 3, 4, 9))
+    assert table.dirs == dirs == directions_of(U)
+    for y in range(F.q + 1):
+        assert table.profile(y) == line_profile(U, y)
+        assert table.key(y) == keys[y] == profile_key(line_profile(U, y))
