@@ -48,7 +48,7 @@ from .field import (Field, SoundnessError, make_field, prime_power_parts,
                     subfield_orders, subfields)
 from .geometry import (AffinePointSet, check_line_congruence, direction_of,
                        directions_of, format_direction, geometric_invariants,
-                       is_maximal)
+                       incidence, is_maximal)
 from .redei import SlopeTable
 # the tails reach this module through SlopeTable; the name stays bound here
 # because bench/spans.py wraps every module binding of a traced function
@@ -221,13 +221,13 @@ def _counting_cross_check(table: SlopeTable, s: int) -> tuple:
     det = table.dirs.determined
     pts = sorted(table.U.points)
     n = len(pts)
+    row_of = incidence(F).row
     min_count = None
     partition = n - 1
     covers_all = True
     for P in pts:
-        a, b = P
-        through = sum(table.profile(y)[a if y == F.q else F.sub(b, F.mul(y, a))] - 1
-                      for y in det)
+        row = row_of(P[0] * F.q + P[1])
+        through = sum(table.profile(y)[row[y]] - 1 for y in det)
         if partition == n - 1:
             partition = through
         per_slope = {}

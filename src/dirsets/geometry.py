@@ -9,11 +9,21 @@ The geometric invariant of a point set: for a direction y, the modulus
 of y is the largest power of the characteristic dividing every
 intersection count of slope-y lines with the set; the set-level modulus
 is the minimum over determined directions.
+
+Line facts come from one incidence table per field (incidence), filled
+on first read: the intercepts of the q + 1 lines through a point, and
+the points on a line as a q^2-bit mask.  A table built from a point set
+reads each point's intercepts once, as the set's intercept columns, and
+takes D (a column with a repeated intercept), every profile (a count of
+a column) and maximality (the masks of the lines that free directions
+draw through the set) off them, with no division.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 
 from .field import Field, make_field
@@ -23,7 +33,8 @@ __all__ = [
     "LineTable", "direction_of", "directions_of", "line_profile", "profile_key",
     "profile_of_key", "direction_modulus",
     "geometric_invariants", "check_line_congruence", "apply_collineation",
-    "extension_points", "is_maximal", "format_direction",
+    "extension_points", "is_maximal", "format_direction", "Incidence",
+    "incidence",
 ]
 
 
@@ -158,33 +169,26 @@ def direction_of(field: Field, P, Q) -> int:
     return field.div(field.sub(b, d), field.sub(a, c))
 
 
-def directions_of(U: AffinePointSet) -> DirectionSet:
-    F = U.field
-    pts = sorted(U.points)
-    seen = set()
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            seen.add(direction_of(F, pts[i], pts[j]))
-    return DirectionSet(F, frozenset(seen))
+def directions_of(U) -> DirectionSet:
+    """The directions of the lines with two points of U or more: those
+    whose intercept column repeats a value."""
+    lines = LineTable.of(U)
+    n = len(lines.U)
+    return DirectionSet(lines.field, frozenset(compress(
+        range(lines.field.q + 1), [len(set(col)) < n for col in lines.columns])))
 
 
-def line_profile(U: AffinePointSet, y: int):
+def line_profile(U, y: int):
     """Intersection counts of the q lines of direction y, by intercept
-    code, as a tuple.
+    code, as a tuple: a count of the set's intercept column y.
 
     Lines of slope y < q are Y = y*X + c; vertical lines are X = c.
     The counts always sum to |U|.
     """
-    F = U.field
-    counts = [0] * F.q
-    if y == F.q:
-        for a, _ in U.points:
-            counts[a] += 1
-    else:
-        mul, sub = F.mul, F.sub
-        for a, b in U.points:
-            counts[sub(b, mul(y, a))] += 1
+    lines = LineTable.of(U)
+    counts = [0] * lines.field.q
+    for i in lines.columns[y]:
+        counts[i] += 1
     return tuple(counts)
 
 
@@ -229,15 +233,81 @@ class kept:
         return value
 
 
+class _Filled(dict):
+    """A dict that stores build(k) under a missing key k on its first read."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, k):
+        value = self[k] = self.build(k)
+        return value
+
+
+class Incidence:
+    """Who lies on what in AG(2,q), each entry built on its first read.
+
+    rows[c] (row(c)) holds the intercepts of the q + 1 lines through the
+    point of code c = a*q + b: b - y*a at the slopes y < q, then a at the
+    vertical direction q.  masks[y][i] (mask(y, i)) is the q^2-bit int
+    with bit c set for every point of code c on the line of direction y
+    and intercept i.  Nothing is built with the table, so a field that no
+    set reads costs nothing; filled in full, it holds q^2 rows of q + 1
+    codes and q(q + 1) masks of q^2 bits (about 2.2 MB of masks at
+    q = 64, 34 MB at q = 128, 540 MB at q = 256).  incidence(F) keeps
+    one per field for the life of the process.
+    """
+
+    def __init__(self, F: Field):
+        self.field = F
+        self.rows = _Filled(self._row)
+        self.masks = [_Filled(functools.partial(self._mask, y))
+                      for y in range(F.q + 1)]
+
+    def row(self, c: int) -> tuple:
+        return self.rows[c]
+
+    def mask(self, y: int, i: int) -> int:
+        return self.masks[y][i]
+
+    def _row(self, c: int) -> tuple:
+        F = self.field
+        a, b = divmod(c, F.q)
+        sub, mul = F.sub, F.mul
+        return tuple(sub(b, mul(y, a)) for y in range(F.q)) + (a,)
+
+    def _mask(self, y: int, i: int) -> int:
+        F = self.field
+        q = F.q
+        if y == q:
+            return ((1 << q) - 1) << (i * q)
+        add, mul = F.add, F.mul
+        return sum(1 << (a * q + add(i, mul(y, a))) for a in range(q))
+
+
+@functools.cache
+def incidence(F: Field) -> Incidence:
+    """The field's incidence table, made on the first call for F."""
+    return Incidence(F)
+
+
 class LineTable:
-    """The line profiles of one point set, each counted on first read, and
-    the per-set facts built on them, each kept: directions, geometric
-    invariants and maximality.  The functions of this module accept a
-    table wherever they accept a point set.  A caller that keeps profile
-    keys up to date point by point (an exhaustive sweep's walk) passes
-    lines = (D, keys), keys[y] the profile_key of direction y's profile:
-    the table then starts with D, reads each key off keys, and decodes a
-    profile from its key (profile_of_key) on first read.
+    """The line facts of one point set, each built on first read and kept:
+    its intercept columns, its profiles, directions, geometric invariants
+    and maximality.  The functions of this module accept a table wherever
+    they accept a point set.
+
+    A table built from the set alone reads the incidence row of each
+    point once; columns[y] is then the tuple of the points' intercepts on
+    the lines of direction y, and directions_of, line_profile and
+    is_maximal read them.  A caller that keeps profile keys up to date
+    point by point (an exhaustive sweep's walk) passes lines = (D, keys),
+    keys[y] the profile_key of direction y's profile: the table then
+    starts with D, reads each key off keys, and decodes a profile from its
+    key (profile_of_key) on first read.
     """
 
     def __init__(self, U: AffinePointSet, lines=None):
@@ -261,7 +331,7 @@ class LineTable:
         if counts is None:
             keys = self._keys
             counts = self._profiles[y] = (
-                line_profile(self.U, y) if keys is None
+                line_profile(self, y) if keys is None
                 else profile_of_key(keys[y], self.field.q))
         return counts
 
@@ -276,8 +346,17 @@ class LineTable:
         return gcd(self.field.q, *self.profile(y))
 
     @kept
+    def columns(self) -> tuple:
+        """The q + 1 intercept columns, zip(*rows) over the set's points."""
+        q = self.field.q
+        rows = incidence(self.field).rows
+        return (tuple(zip(*map(rows.__getitem__,
+                               [a * q + b for a, b in self.U.points])))
+                or ((),) * (q + 1))
+
+    @kept
     def dirs(self) -> DirectionSet:
-        return directions_of(self.U)
+        return directions_of(self)
 
     @kept
     def geo(self) -> GeometricInvariants:
@@ -396,30 +475,42 @@ def apply_collineation(U: AffinePointSet, matrix, shift=(0, 0)):
     return AffinePointSet.of(F, pts), dmap
 
 
+def _covered(lines: LineTable) -> int:
+    """The codes of the points on the lines through U of its free
+    directions, as a q^2-bit int.  Each such line holds one point of U,
+    and the union holds U whenever some direction is free."""
+    det = lines.dirs.determined
+    masks = incidence(lines.field).masks
+    covered = 0
+    for y, col in enumerate(lines.columns):
+        if y not in det:
+            of_y = masks[y]
+            for i in col:
+                covered |= of_y[i]
+    return covered
+
+
 def extension_points(U):
     """The points outside U whose directions to U are all determined by U,
     in code order: the points whose addition leaves the direction set as
-    it is.  Only directions from a new point to U can be new, so each
-    point needs one pass over U."""
+    it is.  A point P outside U gives a new direction exactly when it lies
+    on the line through some point of U of a free direction, so these are
+    the points off U and off those lines."""
     lines = LineTable.of(U)
-    present = lines.U.points
-    pts = sorted(present)
-    det = lines.dirs.determined
     q = lines.field.q
-    div, sub = lines.field.div, lines.field.sub
-    for a in range(q):
-        for b in range(q):
-            if (a, b) in present:
-                continue
-            for c, d in pts:
-                if (q if a == c else div(sub(b, d), sub(a, c))) not in det:
-                    break
-            else:
-                yield (a, b)
+    taken = _covered(lines)
+    for a, b in lines.U.points:
+        taken |= 1 << (a * q + b)
+    bits = format(~taken & ((1 << q * q) - 1), "b")[::-1]
+    c = bits.find("1")
+    while c >= 0:
+        yield divmod(c, q)
+        c = bits.find("1", c + 1)
 
 
 def is_maximal(U) -> bool:
-    """True iff every added point strictly grows the direction set.
+    """True iff every added point strictly grows the direction set: the
+    lines through U of its free directions cover the plane.
 
     A set determining all q + 1 directions is treated as maximal (no
     extension can change its directions).
@@ -427,4 +518,5 @@ def is_maximal(U) -> bool:
     lines = LineTable.of(U)
     if len(lines.U) < 2:
         raise ValueError("maximality needs at least two points")
-    return lines.dirs.is_all or next(extension_points(lines), None) is None
+    q = lines.field.q
+    return lines.dirs.is_all or _covered(lines) == (1 << q * q) - 1

@@ -40,9 +40,9 @@ slope memo by those keys and decodes a profile from its key only when
 one is read, so a profile the memo holds is never built as a tuple;
 each verdict carries its outcome, which the loop tallies as it is.
 Consecutive random sets share no prefix, so
-random streams count them from scratch, and so do sets of at most two
-points: the walk would move 2(q + 1) keys for what one division
-gives.
+random streams build their tables from scratch, off the field's
+incidence rows (geometry.incidence), and so do sets of at most two
+points: the walk would move 2(q + 1) keys for what two rows give.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from fractions import Fraction
 
 from .field import Field, make_field, prime_power_parts
 from .geometry import (AffinePointSet, DirectionSet, LineTable, direction_of,
-                       extension_points, is_maximal)
+                       extension_points, incidence, is_maximal)
 from .redei import SlopeTable
 from .analysis import CONJECTURES, STATEMENTS, verify_statement
 
@@ -239,21 +239,18 @@ def _canonical_children(F: Field, parents, shards):
 
 
 class _Rows(dict):
-    """Point code c = a*q + b -> the key increments (q+1)^i of the q + 1
-    lines through its point, i the line's intercept: b - y*a for the
-    slopes y < q, then a for the vertical direction q; each computed on
-    first use."""
+    """Point code c -> the key increments (q+1)^i of the q + 1 lines
+    through its point, i the line's intercept (geometry.Incidence.row);
+    each computed on first use."""
 
     def __init__(self, F: Field):
         super().__init__()
-        self.field = F
+        self.base = F.q + 1
+        self.incidence = incidence(F)
 
     def __missing__(self, c: int) -> tuple:
-        F = self.field
-        base = F.q + 1
-        a, b = point_from_code(F.q, c)
-        row = self[c] = tuple(base ** F.sub(b, F.mul(y, a))
-                              for y in range(F.q)) + (base ** a,)
+        base = self.base
+        row = self[c] = tuple(base ** i for i in self.incidence.row(c))
         return row
 
 
@@ -404,8 +401,9 @@ def _sweep_shards(cfg: SearchConfig, shard_ids, collect_rows: bool):
             U, dirs, keys = walk.lines(codes)
             table = SlopeTable(U, memo, (dirs, keys))
         else:
-            table = SlopeTable(AffinePointSet.of(
-                F, [point_from_code(q, c) for c in codes]), memo)
+            # codes drawn from range(q^2) need no range check
+            table = SlopeTable(AffinePointSet(
+                F, frozenset(map(divmod, codes, itertools.repeat(q)))), memo)
         U = table.U
         verdicts = [verify_statement(stmt, table) for stmt in cfg.statements]
         for stmt, verdict in zip(cfg.statements, verdicts):

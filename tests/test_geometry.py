@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dirsets.field import make_field
-from dirsets.geometry import (AffinePointSet, apply_collineation,
+from dirsets.geometry import (AffinePointSet, LineTable, apply_collineation,
                               check_line_congruence, direction_modulus,
                               direction_of, directions_of, extension_points,
                               format_direction, geometric_invariants,
-                              is_maximal, line_profile)
+                              incidence, is_maximal, line_profile)
 from conftest import random_point_set
 
 
@@ -224,3 +224,157 @@ def test_point_set_file_round_trip(tmp_path, unit_square):
 def test_line_congruence_rejects_trivial_explicit_modulus(unit_square):
     with pytest.raises(ValueError):
         check_line_congruence(unit_square, modulus=1)
+
+
+# -- the incidence table against the per-point arithmetic ---------------------
+
+def _oracle_directions(U):
+    F = U.field
+    return frozenset(direction_of(F, P, Q)
+                     for P, Q in itertools.combinations(sorted(U.points), 2))
+
+
+def _oracle_profile(U, y):
+    F = U.field
+    counts = [0] * F.q
+    for a, b in U.points:
+        counts[a if y == F.q else F.sub(b, F.mul(y, a))] += 1
+    return tuple(counts)
+
+
+def _oracle_extension_points(U):
+    # one division per point of U for every point off U
+    F = U.field
+    q = F.q
+    pts = sorted(U.points)
+    det = _oracle_directions(U)
+    out = []
+    for a in range(q):
+        for b in range(q):
+            if (a, b) in U.points:
+                continue
+            for c, d in pts:
+                if (q if a == c else F.div(F.sub(b, d), F.sub(a, c))) not in det:
+                    break
+            else:
+                out.append((a, b))
+    return out
+
+
+def _assert_matches_oracles(U):
+    F = U.field
+    det = _oracle_directions(U)
+    ext = _oracle_extension_points(U)
+    profiles = [_oracle_profile(U, y) for y in range(F.q + 1)]
+    # each function on its own fresh table, then all of them on one table
+    assert directions_of(U).determined == det, sorted(U.points)
+    assert [line_profile(U, y) for y in range(F.q + 1)] == profiles
+    assert list(extension_points(U)) == ext, sorted(U.points)
+    table = LineTable(U)
+    assert table.dirs.determined == det
+    assert [table.profile(y) for y in range(F.q + 1)] == profiles
+    assert list(extension_points(table)) == ext
+    if len(U) < 2:
+        with pytest.raises(ValueError):
+            is_maximal(U)
+        return
+    maximal = len(det) == F.q + 1 or not ext
+    assert is_maximal(U) == maximal == table.maximal, sorted(U.points)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16])
+def test_incidence_reads_match_oracles_on_random_sets(q):
+    F = make_field(*{2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1),
+                     8: (2, 3), 9: (3, 2), 11: (11, 1), 16: (2, 4)}[q])
+    rng = random.Random(f"incidence:{q}")
+    for _ in range(60 if q < 16 else 25):
+        _assert_matches_oracles(
+            random_point_set(F, rng, rng.randint(0, min(q * q, 2 * q + 2))))
+
+
+def test_incidence_reads_match_oracles_on_q4_representatives(gf4):
+    from dirsets.search import SearchConfig, enumerate_sets
+    reps = list(enumerate_sets(SearchConfig(q=4, n_max=8, symmetry=True)))
+    assert len(reps) == 44
+    for codes in reps:
+        _assert_matches_oracles(pts(gf4, [divmod(c, 4) for c in codes]))
+
+
+@pytest.mark.parametrize("p,h", [(2, 2), (5, 1), (2, 3), (3, 2), (7, 1)])
+def test_incidence_reads_match_oracles_on_edge_sets(p, h):
+    F = make_field(p, h)
+    q = F.q
+    rng = random.Random(q)
+    cases = [[], [(1, 0)], [(0, 0), (q - 1, 1)], [(2 % q, b) for b in range(q)],
+             [(x, F.add(F.mul(3 % q, x), 1)) for x in range(q)],
+             # more than q points, and half of each of two parallel lines
+             [divmod(c, q) for c in rng.sample(range(q * q), q + 1)],
+             [(0, b) for b in range(q)][: q // 2] + [(1, b) for b in range(q)][: q // 2]]
+    for pairs in cases:
+        _assert_matches_oracles(pts(F, pairs))
+    assert directions_of(pts(F, cases[5])).is_all
+
+
+@pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (2, 3)])
+def test_complete_set_returns_the_oracle_extensions(p, h):
+    from dirsets.search import CompletionQuery, complete_set
+    F = make_field(p, h)
+    q = F.q
+    rng = random.Random(f"complete:{q}")
+    found_any = False
+    for k in range(12):
+        eps = rng.randint(1, 3)
+        if k % 2:
+            U = random_point_set(F, rng, q - eps)
+        else:
+            # most of a line, perhaps with a point off it
+            y, c = rng.randrange(q), rng.randrange(q)
+            line = [(x, F.add(F.mul(y, x), c)) for x in range(q)]
+            U = pts(F, rng.sample(line, q - eps))
+        det = _oracle_directions(U)
+        cands = _oracle_extension_points(U)
+        pts_u = sorted(U.points)
+        oracle = [tuple(sorted(pts_u + list(chosen)))
+                  for chosen in itertools.combinations(cands, eps)
+                  if all(direction_of(F, P, Q) in det
+                         for P, Q in itertools.combinations(chosen, 2))][:100]
+        res = complete_set(CompletionQuery(U, enforce=False))
+        assert list(res.extensions) == oracle, pts_u
+        found_any = found_any or bool(oracle)
+    assert found_any
+
+
+def test_field_set_up_builds_no_incidence_entry():
+    # importing the program and making a field must build no row and no
+    # mask: a hunt's set-up time covers both
+    import os
+    import subprocess
+    import sys
+    import dirsets
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dirsets.__file__)))
+    code = ("import dirsets.cli\n"
+            "from dirsets import geometry\n"
+            "from dirsets.field import make_field\n"
+            "F = make_field(2, 3)\n"
+            "print(geometry.incidence.cache_info().currsize)\n"
+            "table = geometry.incidence(F)\n"
+            "print(len(table.rows), sum(map(len, table.masks)))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "0"]
+
+
+def test_incidence_rows_and_masks(gf5):
+    table = incidence(gf5)
+    assert incidence(gf5) is table
+    # the point (2, 3): intercepts 3 - 2y at y = 0..4, then a = 2
+    assert table.row(2 * 5 + 3) == (3, 1, 4, 2, 0, 2)
+    # the line Y = 2X + 1 holds (a, 2a + 1); X = 4 holds (4, b)
+    assert table.mask(2, 1) == sum(1 << (a * 5 + (2 * a + 1) % 5) for a in range(5))
+    assert table.mask(5, 4) == sum(1 << (20 + b) for b in range(5))
+    for c in range(25):
+        for y, i in enumerate(table.row(c)):
+            assert table.mask(y, i) >> c & 1
