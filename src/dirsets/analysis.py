@@ -221,12 +221,12 @@ def _counting_cross_check(table: SlopeTable, s: int) -> tuple:
     det = table.dirs.determined
     pts = sorted(table.U.points)
     n = len(pts)
-    row_of = incidence(F).row
+    rows = incidence(F).rows
     min_count = None
     partition = n - 1
     covers_all = True
     for P in pts:
-        row = row_of(P[0] * F.q + P[1])
+        row = rows[P[0] * F.q + P[1]]
         through = sum(table.profile(y)[row[y]] - 1 for y in det)
         if partition == n - 1:
             partition = through

@@ -10,13 +10,15 @@ of y is the largest power of the characteristic dividing every
 intersection count of slope-y lines with the set; the set-level modulus
 is the minimum over determined directions.
 
-Line facts come from one incidence table per field (incidence), filled
-on first read: the intercepts of the q + 1 lines through a point, and
-the points on a line as a q^2-bit mask.  A table built from a point set
-reads each point's intercepts once, as the set's intercept columns, and
-takes D (a column with a repeated intercept), every profile (a count of
-a column) and maximality (the masks of the lines that free directions
-draw through the set) off them, with no division.
+Line facts come from one incidence table per field (incidence), each
+entry built on its read and kept up to q = KEEP_MAX_Q: the intercepts
+of the q + 1 lines through a point, and the points on a line as a
+q^2-bit mask.  A table built from a point set reads each point's
+intercepts once, as the set's intercept columns, and takes D (a column
+with a repeated intercept), every profile (a count of a column) and
+maximality off them, with no division: up to KEEP_MAX_Q from the masks
+of the lines that free directions draw through the set, above it by a
+scan of the plane's columns that leaves each once all its points are met.
 """
 
 from __future__ import annotations
@@ -234,44 +236,49 @@ class kept:
 
 
 class _Filled(dict):
-    """A dict that stores build(k) under a missing key k on its first read."""
+    """A dict that builds build(k) for a missing key k on its read, and
+    stores it there when keep is set."""
 
-    __slots__ = ("build",)
+    __slots__ = ("build", "keep")
 
-    def __init__(self, build):
+    def __init__(self, build, keep=True):
         super().__init__()
         self.build = build
+        self.keep = keep
 
     def __missing__(self, k):
-        value = self[k] = self.build(k)
+        value = self.build(k)
+        if self.keep:
+            self[k] = value
         return value
 
 
-class Incidence:
-    """Who lies on what in AG(2,q), each entry built on its first read.
+# an incidence table keeps what it builds up to this q: filled in full,
+# at most 2.2 MB of masks and 4096 rows of 65 codes
+KEEP_MAX_Q = 64
 
-    rows[c] (row(c)) holds the intercepts of the q + 1 lines through the
-    point of code c = a*q + b: b - y*a at the slopes y < q, then a at the
-    vertical direction q.  masks[y][i] (mask(y, i)) is the q^2-bit int
-    with bit c set for every point of code c on the line of direction y
-    and intercept i.  Nothing is built with the table, so a field that no
-    set reads costs nothing; filled in full, it holds q^2 rows of q + 1
-    codes and q(q + 1) masks of q^2 bits (about 2.2 MB of masks at
-    q = 64, 34 MB at q = 128, 540 MB at q = 256).  incidence(F) keeps
-    one per field for the life of the process.
+
+class Incidence:
+    """Who lies on what in AG(2,q), each entry built on its read.
+
+    rows[c] holds the intercepts of the q + 1 lines through the point of
+    code c = a*q + b: b - y*a at the slopes y < q, then a at the vertical
+    direction q.  masks[y][i] is the q^2-bit int with bit c set for every
+    point of code c on the line of direction y and intercept i.  Nothing
+    is built with the table, so a field that no set reads costs nothing.
+    Up to q = KEEP_MAX_Q (kept) the table stores each entry on its first
+    read; filled in full it holds q^2 rows of q + 1 codes and q(q + 1)
+    masks of q^2 bits, q^3(q + 1)/8 bytes (about 2.2 MB at q = 64, and
+    already 34 MB at q = 128).  Above, every read builds its entry afresh
+    and nothing is stored.  incidence(F) keeps one table per field.
     """
 
     def __init__(self, F: Field):
         self.field = F
-        self.rows = _Filled(self._row)
-        self.masks = [_Filled(functools.partial(self._mask, y))
+        self.kept = F.q <= KEEP_MAX_Q
+        self.rows = _Filled(self._row, self.kept)
+        self.masks = [_Filled(functools.partial(self._mask, y), self.kept)
                       for y in range(F.q + 1)]
-
-    def row(self, c: int) -> tuple:
-        return self.rows[c]
-
-    def mask(self, y: int, i: int) -> int:
-        return self.masks[y][i]
 
     def _row(self, c: int) -> tuple:
         F = self.field
@@ -477,8 +484,9 @@ def apply_collineation(U: AffinePointSet, matrix, shift=(0, 0)):
 
 def _covered(lines: LineTable) -> int:
     """The codes of the points on the lines through U of its free
-    directions, as a q^2-bit int.  Each such line holds one point of U,
-    and the union holds U whenever some direction is free."""
+    directions, as a q^2-bit int, from a kept incidence table's masks, n
+    per free direction.  Each such line holds one point of U, and the
+    union holds U whenever some direction is free."""
     det = lines.dirs.determined
     masks = incidence(lines.field).masks
     covered = 0
@@ -490,22 +498,62 @@ def _covered(lines: LineTable) -> int:
     return covered
 
 
+def _extension_codes(lines: LineTable):
+    """The codes of U's extension points, ascending: a point P outside U
+    gives a new direction exactly when it lies on the line through some
+    point of U of a free direction.
+
+    A kept incidence table reads them off the union of those lines
+    (_covered) and U.  Above KEEP_MAX_Q, where the masks of a set of about
+    q points would fill q^4/8 bytes, each column X = a keeps the b still
+    unmet and takes off, direction by direction, those on a line through
+    U: the n points i + y*a of intercepts i while they are fewer, else the
+    b whose intercept b - y*a is one of U's.  A column stops once nothing
+    is left, so each costs at most n or what is left per free direction
+    and builds nothing that outlives the call."""
+    F = lines.field
+    q = F.q
+    own = {a * q + b for a, b in lines.U.points}
+    if incidence(F).kept:
+        taken = _covered(lines)
+        for c in own:
+            taken |= 1 << c
+        bits = format(~taken & ((1 << q * q) - 1), "b")[::-1]
+        c = bits.find("1")
+        while c >= 0:
+            yield c
+            c = bits.find("1", c + 1)
+        return
+    det = lines.dirs.determined
+    free = [(y, col, set(col)) for y, col in enumerate(lines.columns[:q])
+            if y not in det]
+    vertical = () if q in det else set(lines.columns[q])
+    add, sub, mul = F.add, F.sub, F.mul
+    for a in range(q):
+        if a in vertical:
+            continue
+        left = {b for b in range(q) if a * q + b not in own}
+        for y, col, on in free:
+            ya = mul(y, a)
+            if len(col) < len(left):
+                left.difference_update([add(i, ya) for i in col])
+            else:
+                left = {b for b in left if sub(b, ya) not in on}
+            if not left:
+                break
+        for b in sorted(left):
+            yield a * q + b
+
+
 def extension_points(U):
     """The points outside U whose directions to U are all determined by U,
     in code order: the points whose addition leaves the direction set as
-    it is.  A point P outside U gives a new direction exactly when it lies
-    on the line through some point of U of a free direction, so these are
-    the points off U and off those lines."""
+    it is, those off U and off the lines through U of its free
+    directions."""
     lines = LineTable.of(U)
     q = lines.field.q
-    taken = _covered(lines)
-    for a, b in lines.U.points:
-        taken |= 1 << (a * q + b)
-    bits = format(~taken & ((1 << q * q) - 1), "b")[::-1]
-    c = bits.find("1")
-    while c >= 0:
+    for c in _extension_codes(lines):
         yield divmod(c, q)
-        c = bits.find("1", c + 1)
 
 
 def is_maximal(U) -> bool:
@@ -518,5 +566,9 @@ def is_maximal(U) -> bool:
     lines = LineTable.of(U)
     if len(lines.U) < 2:
         raise ValueError("maximality needs at least two points")
+    if lines.dirs.is_all:
+        return True
     q = lines.field.q
-    return lines.dirs.is_all or _covered(lines) == (1 << q * q) - 1
+    if incidence(lines.field).kept:
+        return _covered(lines) == (1 << q * q) - 1
+    return next(_extension_codes(lines), None) is None

@@ -56,8 +56,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .field import Field, make_field, prime_power_parts
-from .geometry import (AffinePointSet, DirectionSet, LineTable, direction_of,
-                       extension_points, incidence, is_maximal)
+from .geometry import (AffinePointSet, DirectionSet, LineTable, _Filled,
+                       direction_of, extension_points, incidence, is_maximal)
 from .redei import SlopeTable
 from .analysis import CONJECTURES, STATEMENTS, verify_statement
 
@@ -238,20 +238,15 @@ def _canonical_children(F: Field, parents, shards):
                 yield child
 
 
-class _Rows(dict):
+class _Rows(_Filled):
     """Point code c -> the key increments (q+1)^i of the q + 1 lines
-    through its point, i the line's intercept (geometry.Incidence.row);
-    each computed on first use."""
+    through its point, i the line's intercept (geometry.Incidence.rows);
+    each computed on first use and kept for the walk."""
 
     def __init__(self, F: Field):
-        super().__init__()
-        self.base = F.q + 1
-        self.incidence = incidence(F)
-
-    def __missing__(self, c: int) -> tuple:
-        base = self.base
-        row = self[c] = tuple(base ** i for i in self.incidence.row(c))
-        return row
+        base = F.q + 1
+        rows = incidence(F).rows
+        super().__init__(lambda c: tuple(base ** i for i in rows[c]))
 
 
 class _Walk:

@@ -282,17 +282,33 @@ def _assert_matches_oracles(U):
     assert is_maximal(U) == maximal == table.maximal, sorted(U.points)
 
 
+@pytest.fixture(params=["kept", "unkept"])
+def keeping(request, monkeypatch):
+    """Runs a test once with the incidence tables of its fields keeping
+    what they build, and once keeping nothing, as above KEEP_MAX_Q, where
+    maximality scans the plane's columns."""
+    from dirsets import geometry
+    if request.param == "unkept":
+        monkeypatch.setattr(geometry, "KEEP_MAX_Q", 0)
+    incidence.cache_clear()
+    yield request.param
+    incidence.cache_clear()
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16])
-def test_incidence_reads_match_oracles_on_random_sets(q):
+def test_incidence_reads_match_oracles_on_random_sets(keeping, q):
     F = make_field(*{2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1),
                      8: (2, 3), 9: (3, 2), 11: (11, 1), 16: (2, 4)}[q])
     rng = random.Random(f"incidence:{q}")
     for _ in range(60 if q < 16 else 25):
         _assert_matches_oracles(
             random_point_set(F, rng, rng.randint(0, min(q * q, 2 * q + 2))))
+    table = incidence(F)
+    assert table.kept == (keeping == "kept")
+    assert table.kept or not table.rows and not any(table.masks)
 
 
-def test_incidence_reads_match_oracles_on_q4_representatives(gf4):
+def test_incidence_reads_match_oracles_on_q4_representatives(keeping, gf4):
     from dirsets.search import SearchConfig, enumerate_sets
     reps = list(enumerate_sets(SearchConfig(q=4, n_max=8, symmetry=True)))
     assert len(reps) == 44
@@ -301,7 +317,7 @@ def test_incidence_reads_match_oracles_on_q4_representatives(gf4):
 
 
 @pytest.mark.parametrize("p,h", [(2, 2), (5, 1), (2, 3), (3, 2), (7, 1)])
-def test_incidence_reads_match_oracles_on_edge_sets(p, h):
+def test_incidence_reads_match_oracles_on_edge_sets(keeping, p, h):
     F = make_field(p, h)
     q = F.q
     rng = random.Random(q)
@@ -309,14 +325,16 @@ def test_incidence_reads_match_oracles_on_edge_sets(p, h):
              [(x, F.add(F.mul(3 % q, x), 1)) for x in range(q)],
              # more than q points, and half of each of two parallel lines
              [divmod(c, q) for c in rng.sample(range(q * q), q + 1)],
-             [(0, b) for b in range(q)][: q // 2] + [(1, b) for b in range(q)][: q // 2]]
+             [(0, b) for b in range(q)][: q // 2] + [(1, b) for b in range(q)][: q // 2],
+             # a line less one point, which is its only extension point
+             [(x, F.add(F.mul(3 % q, x), 1)) for x in range(1, q)]]
     for pairs in cases:
         _assert_matches_oracles(pts(F, pairs))
     assert directions_of(pts(F, cases[5])).is_all
 
 
 @pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (2, 3)])
-def test_complete_set_returns_the_oracle_extensions(p, h):
+def test_complete_set_returns_the_oracle_extensions(keeping, p, h):
     from dirsets.search import CompletionQuery, complete_set
     F = make_field(p, h)
     q = F.q
@@ -344,37 +362,68 @@ def test_complete_set_returns_the_oracle_extensions(p, h):
     assert found_any
 
 
-def test_field_set_up_builds_no_incidence_entry():
-    # importing the program and making a field must build no row and no
-    # mask: a hunt's set-up time covers both
+def _run_fresh(code):
+    """stdout of code run in a fresh interpreter that imports this dirsets."""
     import os
     import subprocess
     import sys
     import dirsets
     src = os.path.dirname(os.path.dirname(os.path.abspath(dirsets.__file__)))
-    code = ("import dirsets.cli\n"
-            "from dirsets import geometry\n"
-            "from dirsets.field import make_field\n"
-            "F = make_field(2, 3)\n"
-            "print(geometry.incidence.cache_info().currsize)\n"
-            "table = geometry.incidence(F)\n"
-            "print(len(table.rows), sum(map(len, table.masks)))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "0"]
+    return proc.stdout
+
+
+def test_field_set_up_builds_no_incidence_entry():
+    # importing the program and making a field must build no row and no
+    # mask: a hunt's set-up time covers both
+    out = _run_fresh("import dirsets.cli\n"
+                     "from dirsets import geometry\n"
+                     "from dirsets.field import make_field\n"
+                     "F = make_field(2, 3)\n"
+                     "print(geometry.incidence.cache_info().currsize)\n"
+                     "table = geometry.incidence(F)\n"
+                     "print(len(table.rows), sum(map(len, table.masks)))\n")
+    assert out.split() == ["0", "0", "0"]
 
 
 def test_incidence_rows_and_masks(gf5):
     table = incidence(gf5)
-    assert incidence(gf5) is table
+    assert incidence(gf5) is table and table.kept
     # the point (2, 3): intercepts 3 - 2y at y = 0..4, then a = 2
-    assert table.row(2 * 5 + 3) == (3, 1, 4, 2, 0, 2)
+    assert table.rows[2 * 5 + 3] == (3, 1, 4, 2, 0, 2)
     # the line Y = 2X + 1 holds (a, 2a + 1); X = 4 holds (4, b)
-    assert table.mask(2, 1) == sum(1 << (a * 5 + (2 * a + 1) % 5) for a in range(5))
-    assert table.mask(5, 4) == sum(1 << (20 + b) for b in range(5))
+    assert table.masks[2][1] == sum(1 << (a * 5 + (2 * a + 1) % 5) for a in range(5))
+    assert table.masks[5][4] == sum(1 << (20 + b) for b in range(5))
     for c in range(25):
-        for y, i in enumerate(table.row(c)):
-            assert table.mask(y, i) >> c & 1
+        for y, i in enumerate(table.rows[c]):
+            assert table.masks[y][i] >> c & 1
+
+
+def test_near_line_at_q256_is_fast_and_small():
+    # 253 points of a line over GF(256): D holds one direction, and the
+    # masks of the lines of the 256 free directions through the set would
+    # fill 530 MB; maximality and completion must stay within seconds and
+    # a few MB
+    out = _run_fresh(
+        "import resource, time\n"
+        "from dirsets.field import make_field\n"
+        "from dirsets.geometry import AffinePointSet, is_maximal\n"
+        "from dirsets.search import CompletionQuery, complete_set\n"
+        "F = make_field(2, 8)\n"
+        "line = [(x, F.add(F.mul(7, x), 3)) for x in range(256)]\n"
+        "U = AffinePointSet.of(F, line[:100] + line[103:])\n"
+        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "t = time.perf_counter()\n"
+        "maximal = is_maximal(U)\n"
+        "res = complete_set(CompletionQuery(U))\n"
+        "t = time.perf_counter() - t\n"
+        "grew = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss\n"
+        "assert not maximal and res.hypotheses_hold\n"
+        "assert res.extensions == (tuple(sorted(line)),), res.extensions\n"
+        "print(t, grew / 1024)\n")
+    seconds, grew_mb = map(float, out.split())
+    assert seconds < 20 and grew_mb < 32, out
