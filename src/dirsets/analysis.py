@@ -46,8 +46,8 @@ from fractions import Fraction
 
 from .field import (Field, SoundnessError, make_field, prime_power_parts,
                     subfield_orders, subfields)
-from .geometry import (AffinePointSet, check_line_congruence, direction_of,
-                       directions_of, format_direction, geometric_invariants,
+from .geometry import (AffinePointSet, LineTable, check_line_congruence,
+                       direction_of, directions_of, format_direction,
                        incidence, is_maximal)
 from .redei import SlopeTable
 # the tails reach this module through SlopeTable; the name stays bound here
@@ -175,8 +175,7 @@ def classify_direction_trichotomy(U) -> Verdict:
     n = len(table.U)
     if n > q:
         raise SoundnessError("more than q points but not all directions determined")
-    s = table.geo.modulus
-    t = table.alg.modulus
+    s, t = table.s, table.t
     cross = _counting_cross_check(table, s) if t != q and s != 1 else None
     return _trichotomy_verdict(q, n, s, t, len(table.dirs), cross)
 
@@ -261,7 +260,7 @@ def classify_size_q_trichotomy(U) -> Verdict:
         return _inapplicable(stmt, f"needs exactly q = {q} points")
     if table.dirs.is_all:
         return _inapplicable(stmt, "every direction is determined")
-    s = table.geo.modulus
+    s = table.s
     verdict = _size_q_verdict(table.field, s, len(table.dirs))
     if s <= 2:
         return verdict
@@ -433,7 +432,7 @@ def moduli_order(U) -> Verdict:
         return _inapplicable(stmt, "no determined direction")
     if len(table.U) > table.field.q:
         return _inapplicable(stmt, "tail system needs at most q points")
-    return _moduli_order_verdict(table.geo.modulus, table.alg.modulus)
+    return _moduli_order_verdict(table.s, table.t)
 
 
 @functools.cache
@@ -466,7 +465,7 @@ def power_span_verdict(U) -> Verdict:
         return _inapplicable(stmt, "tail system needs at most q points")
     # every X-exponent of X^q + T lies in {0, 1} or is a multiple of t;
     # from X^1 up, those of T are the union of the T(X,y)'s (see SlopeTable)
-    q, t = table.field.q, table.alg.modulus
+    q, t = table.field.q, table.t
     exps = {q}.union(*(polys.p_exponents(table.tail(y)) for y in range(q)))
     return _power_span_verdict(tuple(sorted(e for e in exps
                                             if e not in (0, 1) and e % t)))
@@ -508,7 +507,7 @@ def conjecture_moduli_match(U) -> Verdict:
         tau = table.power(y).modulus
         if tau > 2:
             checks.append(_cmp(f"slope {y}: moduli agree",
-                               tau, "==", table.geo.per_direction[y]))
+                               tau, "==", table.modulus(y)))
     if table.dirs.has_infinity:
         notes.append("vertical direction not examined (tail undefined there)")
     if not checks:
@@ -524,8 +523,7 @@ def conjecture_maximal_linearity(U) -> Verdict:
     gate = _conjecture_gate(table, stmt)
     if gate:
         return gate
-    s = table.geo.modulus
-    t = table.alg.modulus
+    s, t = table.s, table.t
     if not (s == t and s > 2):
         return _inapplicable(stmt, f"hypothesis unmet: moduli {s} and {t}")
     check, notes = _linearity_check(table, s, "witness generators")
@@ -689,18 +687,17 @@ def nonlinear_maximal_example(q: int) -> dict:
     base = None
     # reversed, the tuples are the base-q digits of 0, 1, 2, ..., lowest first
     for digits in itertools.product(range(small.q), repeat=small.q):
-        U = AffinePointSet.of(small, enumerate(reversed(digits)))
-        dirs = directions_of(U)
-        if not 2 * len(dirs) >= q + 3:
+        lines = LineTable(AffinePointSet.of(small, enumerate(reversed(digits))))
+        if not 2 * len(lines.dirs) >= q + 3:
             continue
-        if geometric_invariants(U).modulus == 1:
-            base = U
+        if lines.s == 1:
+            base = lines
             break
     if base is None:
         raise SoundnessError("no modulus-1 function graph found")
     big = make_field(small.p, 2 * small.h)
     emb = next(e for e in subfields(big) if e.order == small.q).into_parent
-    lifted = AffinePointSet.of(big, [(emb[a], emb[b]) for a, b in base.points])
+    lifted = AffinePointSet.of(big, [(emb[a], emb[b]) for a, b in base.U.points])
     lifted_dirs = directions_of(lifted)
     linear_any = any(is_subfield_linear(big, lifted.points, s)[0]
                      for s in subfield_orders(big) if s > 1)
@@ -708,7 +705,7 @@ def nonlinear_maximal_example(q: int) -> dict:
         "base_field": str(small),
         "big_field": str(big),
         "points": sorted(lifted.points),
-        "direction_count_small": len(directions_of(base)),
+        "direction_count_small": len(base.dirs),
         "direction_count_big": len(lifted_dirs),
         "maximal_in_big_plane": is_maximal(lifted),
         "linear_for_some_subfield": linear_any,

@@ -21,8 +21,9 @@ from fractions import Fraction
 
 from . import __version__
 from .field import SoundnessError, make_field
-from .geometry import AffinePointSet, directions_of, format_direction
-from .redei import SlopeTable, redei_system
+from .geometry import (AffinePointSet, directions_of, format_direction,
+                       geometric_invariants)
+from .redei import SlopeTable, algebraic_invariants, redei_system
 from .linsets import (ProjectiveLinearSpec, direction_code_of_projective,
                       plane_set, project_subgeometry, realize_direction_set)
 from .analysis import (CONJECTURES, STATEMENTS, section5_reports,
@@ -79,11 +80,11 @@ def _cmd_invariants(args, out):
               "directions": list(dirs.tokens())}
     table = []
     if dirs.determined:
-        geo = slopes.geo
+        geo = geometric_invariants(slopes)
         result["s"] = geo.modulus
         tails = {}
         if len(U) <= F.q:
-            alg = slopes.alg
+            alg = algebraic_invariants(slopes)
             result["t"] = alg.modulus
             result["degXH"] = slopes.deg_x_tail
             tails = alg.per_direction

@@ -8,7 +8,7 @@ by two points (a, b), (c, d) is (b - d)/(a - c), vertical when a == c.
 The geometric invariant of a point set: for a direction y, the modulus
 of y is the largest power of the characteristic dividing every
 intersection count of slope-y lines with the set; the set-level modulus
-is the minimum over determined directions.
+is the minimum over determined directions (LineTable.s).
 
 Line facts come from one incidence table per field (incidence), each
 entry built on its read and kept up to q = KEEP_MAX_Q: the intercepts
@@ -16,9 +16,10 @@ of the q + 1 lines through a point, and the points on a line as a
 q^2-bit mask.  A table built from a point set reads each point's
 intercepts once, as the set's intercept columns, and takes D (a column
 with a repeated intercept), every profile (a count of a column) and
-maximality off them, with no division: up to KEEP_MAX_Q from the masks
-of the lines that free directions draw through the set, above it by a
-scan of the plane's columns that leaves each once all its points are met.
+maximality off them: up to KEEP_MAX_Q from the masks of the lines that
+free directions draw through the set, with no division, above it by a
+scan of the plane's columns that leaves each once no point of it is left
+whose slopes to the set are all determined.
 """
 
 from __future__ import annotations
@@ -303,8 +304,8 @@ def incidence(F: Field) -> Incidence:
 
 class LineTable:
     """The line facts of one point set, each built on first read and kept:
-    its intercept columns, its profiles, directions, geometric invariants
-    and maximality.  The functions of this module accept a table wherever
+    its intercept columns, its profiles, directions, the geometric modulus
+    s and maximality.  The functions of this module accept a table wherever
     they accept a point set.
 
     A table built from the set alone reads the incidence row of each
@@ -366,8 +367,12 @@ class LineTable:
         return directions_of(self)
 
     @kept
-    def geo(self) -> GeometricInvariants:
-        return geometric_invariants(self)
+    def s(self) -> int:
+        """s, the least s(y) over D; refused when nothing is determined."""
+        det = self.dirs.determined
+        if not det:
+            raise ValueError("no determined direction: aggregate modulus undefined")
+        return min(map(self.modulus, det))
 
     @kept
     def maximal(self) -> bool:
@@ -387,12 +392,10 @@ def direction_modulus(U, y: int) -> int:
 
 
 def geometric_invariants(U) -> GeometricInvariants:
+    """s(y) per determined direction, and s from the table (LineTable.s)."""
     lines = LineTable.of(U)
-    dirs = lines.dirs
-    if not dirs.determined:
-        raise ValueError("no determined direction: aggregate modulus undefined")
-    per = {y: lines.modulus(y) for y in sorted(dirs.determined)}
-    return GeometricInvariants(per, min(per.values()))
+    return GeometricInvariants(
+        {y: lines.modulus(y) for y in sorted(lines.dirs.determined)}, lines.s)
 
 
 @dataclass(frozen=True)
@@ -432,7 +435,7 @@ def check_line_congruence(U, modulus: int | None = None) -> LineCongruence:
     if modulus is None:
         if not dirs.determined:
             return LineCongruence(False, None, 0, (), None, None)
-        m = lines.geo.modulus
+        m = lines.s
         if m == 1:
             return LineCongruence(False, 1, 0, (), None, None)
     else:
@@ -505,12 +508,14 @@ def _extension_codes(lines: LineTable):
 
     A kept incidence table reads them off the union of those lines
     (_covered) and U.  Above KEEP_MAX_Q, where the masks of a set of about
-    q points would fill q^4/8 bytes, each column X = a keeps the b still
-    unmet and takes off, direction by direction, those on a line through
-    U: the n points i + y*a of intercepts i while they are fewer, else the
-    b whose intercept b - y*a is one of U's.  A column stops once nothing
-    is left, so each costs at most n or what is left per free direction
-    and builds nothing that outlives the call."""
+    q points would fill q^4/8 bytes, each column X = a intersects, over
+    U's points (c, d) off it, the b = d + (a - c)*y that a determined
+    slope y joins to (c, d), or, once fewer b are left than slopes, keeps
+    those whose slope (b - d)/(a - c) to (c, d) is determined; a point of
+    U on the column empties it when the vertical direction is free.  A
+    column stops once the intersection is empty, so each costs at most |D|
+    per point of U and builds nothing that outlives the call; U's own
+    points are dropped last."""
     F = lines.field
     q = F.q
     own = {a * q + b for a, b in lines.U.points}
@@ -525,24 +530,23 @@ def _extension_codes(lines: LineTable):
             c = bits.find("1", c + 1)
         return
     det = lines.dirs.determined
-    free = [(y, col, set(col)) for y, col in enumerate(lines.columns[:q])
-            if y not in det]
-    vertical = () if q in det else set(lines.columns[q])
-    add, sub, mul = F.add, F.sub, F.mul
+    slopes = [y for y in range(q) if y in det]
+    add, sub, mul, div = F.add, F.sub, F.mul, F.div
     for a in range(q):
-        if a in vertical:
-            continue
-        left = {b for b in range(q) if a * q + b not in own}
-        for y, col, on in free:
-            ya = mul(y, a)
-            if len(col) < len(left):
-                left.difference_update([add(i, ya) for i in col])
-            else:
-                left = {b for b in left if sub(b, ya) not in on}
+        left = set(range(q))
+        for c, d in lines.U.points:
+            ac = sub(a, c)
+            if ac and len(left) > len(slopes):
+                left.intersection_update([add(d, mul(ac, y)) for y in slopes])
+            elif ac:
+                left = {b for b in left if div(sub(b, d), ac) in det}
+            elif q not in det:
+                left.clear()
             if not left:
                 break
         for b in sorted(left):
-            yield a * q + b
+            if a * q + b not in own:
+                yield a * q + b
 
 
 def extension_points(U):

@@ -28,8 +28,9 @@ which an exhaustive sweep's walk keeps up to date point by point.  The
 alarms that depend on the profile alone run once per memo entry, the
 ones that involve the set on every read (see SlopeTable).  Every
 per-slope fact is read through SlopeTable (modulus, tail, power, kappa,
-membership) and every set-level t through its alg; the statements read
-the table itself, with no wrapper between.  t and deg_X T are affine
+membership), and the set-level s and t are its s and t, folded from one
+memo read per determined direction; the statements read the table
+itself, with no wrapper between.  t and deg_X T are affine
 invariants (see SlopeTable), so no direction is moved to the vertical
 one first.
 RedeiSystem serves the `redei` verb and is the reference the tests
@@ -378,10 +379,12 @@ class SlopeTable(LineTable):
     read only R(X,y), Q(X,y) and T(X,y).  They are kept in a slope memo
     keyed by the profile's key, sum of m_c (q+1)^c (geometry.profile_key;
     one integer per profile, as 0 <= m_c <= q).  An entry is made on the
-    first read of any of them and holds s(y) from then on, so geo reads
-    s(y) off the memo (modulus(y)); T(X,y), its TailData, kappa(y) and
-    that outcome are filled on first read.  Each read probes the memo
-    once, and only this class reads or writes an entry.  A sweep passes
+    first read of any of them and holds s(y) from then on; T(X,y), its
+    TailData, kappa(y) and that outcome are filled on first read.  A
+    table probes the memo once per direction, on its first read there,
+    and keeps the entry: s and t fold s(y) and t(y) from the entries of
+    D, and every later read at a direction reuses its entry.  Only this
+    class reads or writes an entry.  A sweep passes
     one memo to every table it builds, so a profile that recurs across
     sets is divided out once; a table built without one gets its own.  A
     memo serves one field.  It stores at most SLOPE_MEMO_CAP profiles;
@@ -394,7 +397,7 @@ class SlopeTable(LineTable):
     it fires again on every later read.  The checks that involve the set
     itself run on every read: 1 <= |U| <= q for any read that needs the
     tail, y determined for power, kappa(y) >= |U| on a determined
-    direction, and s <= t in aggregate (algebraic_invariants).
+    direction, and s <= t in aggregate, on every read of t.
 
     The bivariate system specializes slope by slope, R(X,y) Q(X,y) =
     X^q + T(X,y), so its set-level facts are read off the q specialized
@@ -427,15 +430,20 @@ class SlopeTable(LineTable):
         super().__init__(U, lines)
         self._memo = {} if memo is None else memo
         self._sized = 1 <= len(U.points) <= U.field.q
+        self._entries = {}
 
     def _entry(self, y: int) -> _SlopeAlgebra:
-        """The memo entry of direction y's profile, made with s(y)."""
-        key = self.key(y)
-        entry = self._memo.get(key)
+        """The memo entry of direction y's profile, made with s(y); the
+        table probes the memo for it once and keeps it."""
+        entry = self._entries.get(y)
         if entry is None:
-            entry = _SlopeAlgebra(super().modulus(y))
-            if len(self._memo) < SLOPE_MEMO_CAP:
-                self._memo[key] = entry
+            key = self.key(y)
+            entry = self._memo.get(key)
+            if entry is None:
+                entry = _SlopeAlgebra(super().modulus(y))
+                if len(self._memo) < SLOPE_MEMO_CAP:
+                    self._memo[key] = entry
+            self._entries[y] = entry
         return entry
 
     def _algebra(self, y: int) -> _SlopeAlgebra:
@@ -473,6 +481,21 @@ class SlopeTable(LineTable):
                 raise SoundnessError("geometric modulus exceeds algebraic modulus")
             entry.power = TailData(tau, root, p_degree(t_y))
         return entry.power
+
+    @kept
+    def t(self) -> int:
+        """t, the least t(y) over the determined slopes, or q when there is
+        none: the least t(y) over all of D too (see the class docstring).
+        s resolves the entry of every direction in D, and an entry without
+        t(y) is filled by power, which refuses |U| > q: every slope is then
+        determined, and no entry of a profile of more than q points holds
+        t(y)."""
+        s, q, entries = self.s, self.field.q, self._entries
+        t = min(((entries[y].power or self.power(y)).modulus
+                 for y in self.dirs.determined if y < q), default=q)
+        if s > t:
+            raise SoundnessError("aggregate geometric modulus exceeds algebraic one")
+        return t
 
     def kappa(self, y: int) -> int:
         """Roots of X^q + T(X,y) in GF(q) with multiplicity; at least |U| on
@@ -521,10 +544,6 @@ class SlopeTable(LineTable):
         """deg_X T, the largest deg T(X,y) over the slopes, for |U| >= 2."""
         return max(p_degree(self.tail(y)) for y in range(self.field.q))
 
-    @kept
-    def alg(self) -> "AlgebraicInvariants":
-        return algebraic_invariants(self)
-
 
 @dataclass(frozen=True)
 class AlgebraicInvariants:
@@ -533,7 +552,8 @@ class AlgebraicInvariants:
     The aggregate modulus t is the least of their moduli, or the field
     order when no non-vertical slope is determined.  It is also the least
     t(y) over all of D, the vertical direction included (see SlopeTable).
-    SlopeTable.alg holds a set's; every reader of t takes it from there.
+    The aggregate is SlopeTable.t; the per-slope map is built for the
+    callers that list it.
     """
 
     per_direction: dict
@@ -541,17 +561,10 @@ class AlgebraicInvariants:
 
 
 def algebraic_invariants(U) -> AlgebraicInvariants:
-    """Tail moduli of every determined non-vertical slope plus the aggregate.
-
-    Also asserts the order relation between the geometric and algebraic
-    moduli in aggregate; SlopeTable.power asserts it per direction.
-    """
+    """Tail data of every determined non-vertical slope, and t from the
+    table (SlopeTable.t, which asserts s <= t in aggregate and refuses a
+    set with no determined direction; SlopeTable.power asserts s(y) <=
+    t(y) per direction)."""
     table = SlopeTable.of(U)
-    dirs = table.dirs
-    if not dirs.determined:
-        raise ValueError("no determined direction")
-    per = {y: table.power(y) for y in dirs.affine()}
-    modulus = min((d.modulus for d in per.values()), default=table.field.q)
-    if table.geo.modulus > modulus:
-        raise SoundnessError("aggregate geometric modulus exceeds algebraic one")
-    return AlgebraicInvariants(per, modulus)
+    return AlgebraicInvariants(
+        {y: table.power(y) for y in table.dirs.affine()}, table.t)

@@ -354,9 +354,9 @@ def _row_for(table: SlopeTable, verdicts, set_hash: int) -> tuple:
     """The set's CSV row, in _CSV_COLUMNS order."""
     s = t = deg = ""
     if table.dirs.determined:
-        s = table.geo.modulus
+        s = table.s
         if len(table.U) <= table.field.q:
-            t = table.alg.modulus
+            t = table.t
             deg = table.deg_x_tail
     applicable = [v for v in verdicts if v.applicable]
     case = next((v.case for v in applicable if v.case is not None), "")

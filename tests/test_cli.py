@@ -627,5 +627,5 @@ def test_slope_memo_cap_keeps_report_bytes(capsys, monkeypatch, cap):
     F = make_field(3, 1)
     memo = {}
     for pairs in (((0, 0), (1, 1), (2, 0)), ((0, 0), (0, 1), (1, 2))):
-        assert redei.SlopeTable(AffinePointSet.of(F, pairs), memo).alg.modulus == 1
+        assert redei.SlopeTable(AffinePointSet.of(F, pairs), memo).t == 1
     assert len(memo) == cap

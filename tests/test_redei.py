@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from dataclasses import astuple
 
 import pytest
@@ -221,9 +222,9 @@ def test_membership_check(unit_square, gf5):
 def test_power_span(unit_square, collinear3_gf5, gf9):
     verdict = power_span_verdict(unit_square)
     assert verdict.holds and not verdict.notes
-    assert SlopeTable(unit_square).alg.modulus == 2
+    assert SlopeTable(unit_square).t == 2
     assert power_span_verdict(collinear3_gf5).holds
-    assert SlopeTable(collinear3_gf5).alg.modulus == 5
+    assert SlopeTable(collinear3_gf5).t == 5
     rng = random.Random(15)
     scalars = (0, 1, 2)  # the prime subfield of GF(9)
     for _ in range(15):
@@ -389,9 +390,61 @@ def test_modulus_alarm_fires_on_every_read_of_a_shared_memo(unit_square,
         with pytest.raises(SoundnessError, match="geometric modulus exceeds"):
             table.power(0)
         with pytest.raises(SoundnessError, match="geometric modulus exceeds"):
-            table.alg
+            table.t
     entry = memo[profile_key(line_profile(unit_square, 0))]
     assert entry.modulus == 2 and entry.tail is not None and entry.power is None
+
+
+@pytest.mark.parametrize("cap", ["shared", 0])
+@pytest.mark.parametrize("q,params", [(3, (3, 1)), (4, (2, 2)), (5, (5, 1)),
+                                      (8, (2, 3)), (9, (3, 2))])
+def test_s_and_t_fold_the_per_direction_moduli(q, params, cap, monkeypatch):
+    # s and t are folded from one memo read per determined direction; they
+    # must equal the minima of the per-direction maps and what the line
+    # profiles and the verified bivariate system give, on walk tables and
+    # on tables built from scratch, through a memo shared by the family and
+    # with no entry stored at all
+    from math import gcd
+    from dirsets import redei, search
+    if cap == 0:
+        monkeypatch.setattr(redei, "SLOPE_MEMO_CAP", 0)
+    F = make_field(*params)
+    rng = random.Random(f"fold:{q}")
+    walk = search._Walk(F)
+    shared = {}
+    checked = 0
+    for _ in range(60):
+        codes = tuple(sorted(rng.sample(range(q * q), rng.randint(2, q))))
+        U = pts(F, [divmod(c, q) for c in codes])
+        det = directions_of(U).determined
+        s = min(gcd(q, *line_profile(U, y)) for y in det)
+        tail = redei_system(U, verify=True).tail
+        t = min((tail_power(tail.specialize(y), F)[0] for y in det if y < q),
+                default=q)
+        tables = [LineTable(U), SlopeTable(U), SlopeTable(U, shared)]
+        if len(codes) >= 3:
+            W, dirs, keys = walk.lines(codes)
+            tables.append(SlopeTable(W, shared, (dirs, keys)))
+        for table in tables:
+            geo = geometric_invariants(table)
+            assert table.s == geo.modulus == min(geo.per_direction.values()) == s
+            if isinstance(table, SlopeTable):
+                alg = algebraic_invariants(table)
+                assert table.t == alg.modulus == t
+                assert t == min((d.modulus for d in alg.per_direction.values()),
+                                default=q)
+        checked += len(tables)
+    assert checked >= 60 * 3
+    assert (not shared) == (cap == 0)
+    # s needs a determined direction, t also 1 <= |U| <= q
+    for pairs in ([], [(1, 2)]):
+        for table in (LineTable(pts(F, pairs)), SlopeTable(pts(F, pairs))):
+            with pytest.raises(ValueError, match="no determined direction"):
+                table.s
+    many = random_point_set(F, rng, q + 1)
+    assert SlopeTable(many).s == geometric_invariants(many).modulus
+    with pytest.raises(ValueError, match=re.escape("need 1 <= |U| <= q")):
+        SlopeTable(many).t
 
 
 def _normal_form_sets(q):
@@ -442,7 +495,7 @@ def test_normal_form_read_off_the_set_matches_the_image(q):
             degrees = [P.p_degree(table.tail(y)) for y in range(q + 1)]
             assert moduli.count(min(moduli)) >= 2
             assert degrees.count(max(degrees)) >= 2
-            assert table.alg.modulus == min(moduli)
+            assert table.t == min(moduli)
             assert table.deg_x_tail == max(degrees)
         # the reference image determines the vertical direction: the set
         # itself when it does, else the image sending min D there
@@ -453,7 +506,7 @@ def test_normal_form_read_off_the_set_matches_the_image(q):
             W, dmap = _swap_image(U, v)
         assert W.dirs.has_infinity
         assert W.dirs.determined == {dmap[d] for d in det}
-        assert table.alg.modulus == W.alg.modulus
+        assert table.t == W.t
         assert table.deg_x_tail == W.deg_x_tail
         # per direction, against a proper image; slope 0 stands in for the
         # vertical direction when the set determines it, so its tail (read
