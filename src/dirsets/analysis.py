@@ -212,21 +212,23 @@ def _trichotomy_verdict(q: int, n: int, s: int, t: int, D: int, cross) -> Verdic
 def _counting_cross_check(table: SlopeTable, s: int) -> tuple:
     """Through any set point, each line with determined slope carries at
     least s set points, and those lines partition the rest of the set:
-    the sum over D of m_y(P) - 1, with m_y(P) read off the profile of y,
-    is n - 1.  Returns (the first such sum that is not n - 1, else n - 1;
-    whether every determined slope appears at every set point; the least
-    count of set points on a line through a set point)."""
+    the sum over D of m_y(P) - 1, with m_y(P) read off the key of y at
+    the unit of P's line, is n - 1.  Returns (the first such sum that is
+    not n - 1, else n - 1; whether every determined slope appears at
+    every set point; the least count of set points on a line through a
+    set point)."""
     F = table.field
     det = table.dirs.determined
     pts = sorted(table.U.points)
     n = len(pts)
-    rows = incidence(F).rows
+    lines = incidence(F)
+    rows, mask, keys = lines.rows, lines.count_mask, table.keys
     min_count = None
     partition = n - 1
     covers_all = True
     for P in pts:
         row = rows[P[0] * F.q + P[1]]
-        through = sum(table.profile(y)[row[y]] - 1 for y in det)
+        through = sum((keys[y] // row[y] & mask) - 1 for y in det)
         if partition == n - 1:
             partition = through
         per_slope = {}

@@ -10,16 +10,21 @@ of y is the largest power of the characteristic dividing every
 intersection count of slope-y lines with the set; the set-level modulus
 is the minimum over determined directions (LineTable.s).
 
-Line facts come from one incidence table per field (incidence), each
-entry built on its read and kept up to q = KEEP_MAX_Q: the intercepts
-of the q + 1 lines through a point, and the points on a line as a
-q^2-bit mask.  A table built from a point set reads each point's
-intercepts once, as the set's intercept columns, and takes D (a column
-with a repeated intercept), every profile (a count of a column) and
-maximality off them: up to KEEP_MAX_Q from the masks of the lines that
-free directions draw through the set, with no division, above it by a
-scan of the plane's columns that leaves each once no point of it is left
-whose slopes to the set are all determined.
+Line counts have one format, the profile key: the count m_c of the line
+of intercept c in its own k-bit field, k = q.bit_length(), so the key of
+direction y is the sum of m_c 2^(kc) (profile_key), and y is determined
+iff its key has a bit in Incidence.hi, bits 1 ... k - 1 of every field.  A set's
+q + 1 keys are its whole line-count state.  One incidence table per
+field (incidence) holds, each entry built on its read and kept up to
+q = KEEP_MAX_Q, the key units 2^(kc) of the q + 1 lines through a point
+and the points on a line as a q^2-bit mask.  A table built from a point
+set sums its points' rows into its keys, and an exhaustive sweep's walk
+adds and takes off rows as points come and go; D, every profile (shifts
+and masks of a key) and maximality are read off the keys: up to
+KEEP_MAX_Q from the masks of the lines that the set bits of a free
+direction's key name, with no division, above it by a scan of the
+plane's columns that leaves each once no point of it is left whose
+slopes to the set are all determined.
 """
 
 from __future__ import annotations
@@ -173,47 +178,41 @@ def direction_of(field: Field, P, Q) -> int:
 
 
 def directions_of(U) -> DirectionSet:
-    """The directions of the lines with two points of U or more: those
-    whose intercept column repeats a value."""
+    """The directions of the lines with two points of U or more, read off
+    the set's profile keys (Incidence.directions)."""
     lines = LineTable.of(U)
-    n = len(lines.U)
-    return DirectionSet(lines.field, frozenset(compress(
-        range(lines.field.q + 1), [len(set(col)) < n for col in lines.columns])))
+    return incidence(lines.field).directions(lines.keys)
 
 
 def line_profile(U, y: int):
     """Intersection counts of the q lines of direction y, by intercept
-    code, as a tuple: a count of the set's intercept column y.
+    code, as a tuple: decoded from the set's key of direction y.
 
     Lines of slope y < q are Y = y*X + c; vertical lines are X = c.
     The counts always sum to |U|.
     """
-    lines = LineTable.of(U)
-    counts = [0] * lines.field.q
-    for i in lines.columns[y]:
-        counts[i] += 1
-    return tuple(counts)
+    return LineTable.of(U).profile(y)
 
 
 def profile_key(profile) -> int:
-    """The sum of m_c (q+1)^c over a profile (m_0, ..., m_(q-1)), q its
-    length: one integer per profile, since a line holds at most q points
-    and so 0 <= m_c <= q."""
-    base = len(profile) + 1
-    key = 0
-    for m in reversed(profile):
-        key = key * base + m
-    return key
+    """The sum of m_c 2^(kc) over a profile (m_0, ..., m_(q-1)), q its
+    length and k = q.bit_length(): each count in its own k-bit field,
+    since a line holds at most q < 2^k points."""
+    k = len(profile).bit_length()
+    return sum(m << k * c for c, m in enumerate(profile))
 
 
 def profile_of_key(key: int, q: int):
-    """The profile whose profile_key is key: its q base-(q+1) digits,
-    lowest first."""
-    base = q + 1
-    counts = []
-    for _ in range(q):
-        key, m = divmod(key, base)
-        counts.append(m)
+    """The profile whose profile_key is key: its q k-bit fields, lowest
+    first.  Only the fields with a set bit are read, one per line that
+    meets the set, so a set of n points costs O(n) shifts."""
+    k = q.bit_length()
+    mask = (1 << k) - 1
+    counts = [0] * q
+    while key:
+        c = ((key & -key).bit_length() - 1) // k
+        m = counts[c] = key >> k * c & mask
+        key ^= m << k * c
     return tuple(counts)
 
 
@@ -255,45 +254,74 @@ class _Filled(dict):
 
 
 # an incidence table keeps what it builds up to this q: filled in full,
-# at most 2.2 MB of masks and 4096 rows of 65 codes
+# at most 2.2 MB of masks and 4096 rows of 65 shared key units
 KEEP_MAX_Q = 64
+
+# the largest q with line tables: a table holds q + 1 keys of up to kq
+# bits each, 27 MB at q = 4096 and 9.1 GB at q = 2^16
+KEY_MAX_Q = 1 << 12
 
 
 class Incidence:
     """Who lies on what in AG(2,q), each entry built on its read.
 
-    rows[c] holds the intercepts of the q + 1 lines through the point of
-    code c = a*q + b: b - y*a at the slopes y < q, then a at the vertical
-    direction q.  masks[y][i] is the q^2-bit int with bit c set for every
-    point of code c on the line of direction y and intercept i.  Nothing
-    is built with the table, so a field that no set reads costs nothing.
-    Up to q = KEEP_MAX_Q (kept) the table stores each entry on its first
-    read; filled in full it holds q^2 rows of q + 1 codes and q(q + 1)
-    masks of q^2 bits, q^3(q + 1)/8 bytes (about 2.2 MB at q = 64, and
-    already 34 MB at q = 128).  Above, every read builds its entry afresh
-    and nothing is stored.  incidence(F) keeps one table per field.
+    A line count takes a k-bit field of a profile key, k = q.bit_length();
+    units[i] = 2^(ki) is the key unit of the line of intercept i, one int
+    per field shared by every row, count_mask = 2^k - 1 reads one count,
+    and hi holds bits 1 ... k - 1 of every field, so a key has a bit in it
+    iff some line holds two points or more.  rows[c] holds the units of
+    the q + 1 lines through the point of code c = a*q + b, by index from
+    units: intercept b - y*a at the slopes y < q, then a at the vertical
+    direction q.  masks[y][w] is the q^2-bit int with bit c set for every
+    point of code c on the line of direction y and unit w.  No row or
+    mask is built with the table, so a field that no set reads costs q
+    units.  Up to q = KEEP_MAX_Q (kept) the table stores each entry on its
+    first read; filled in full it holds q^2 rows of q + 1 references to
+    the units and q(q + 1) masks of q^2 bits (tracemalloc: 2.6 MB of rows
+    and 5.1 MB with the masks at q = 64; the masks alone are already 34
+    MB at q = 128).  Above, every read builds its entry afresh and nothing
+    is stored.  Past KEY_MAX_Q the table is refused, since the keys of one
+    set would outgrow memory.  incidence(F) keeps one table per field.
     """
 
     def __init__(self, F: Field):
+        q = F.q
+        k = q.bit_length()
+        if q > KEY_MAX_Q:
+            raise ValueError(
+                f"line tables of AG(2,{q}) are refused above q = {KEY_MAX_Q}: "
+                f"each holds q + 1 keys of {k * q} bits, "
+                f"{(q + 1) * k * q // 8_000_000} MB here")
         self.field = F
-        self.kept = F.q <= KEEP_MAX_Q
+        self.kept = q <= KEEP_MAX_Q
+        self.k = k
+        self.units = tuple(1 << k * i for i in range(q))
+        self.count_mask = (1 << k) - 1
+        self.hi = (self.count_mask - 1) * sum(self.units)
         self.rows = _Filled(self._row, self.kept)
         self.masks = [_Filled(functools.partial(self._mask, y), self.kept)
-                      for y in range(F.q + 1)]
+                      for y in range(q + 1)]
 
     def _row(self, c: int) -> tuple:
         F = self.field
         a, b = divmod(c, F.q)
-        sub, mul = F.sub, F.mul
-        return tuple(sub(b, mul(y, a)) for y in range(F.q)) + (a,)
+        sub, mul, units = F.sub, F.mul, self.units
+        return tuple(units[sub(b, mul(y, a))] for y in range(F.q)) + (units[a],)
 
-    def _mask(self, y: int, i: int) -> int:
+    def _mask(self, y: int, w: int) -> int:
         F = self.field
         q = F.q
+        i = (w.bit_length() - 1) // self.k
         if y == q:
             return ((1 << q) - 1) << (i * q)
         add, mul = F.add, F.mul
         return sum(1 << (a * q + add(i, mul(y, a))) for a in range(q))
+
+    def directions(self, keys) -> DirectionSet:
+        """D of the set whose q + 1 profile keys these are: the directions
+        whose key has a bit in hi."""
+        return DirectionSet(self.field, frozenset(compress(
+            range(self.field.q + 1), map(self.hi.__and__, keys))))
 
 
 @functools.cache
@@ -304,27 +332,23 @@ def incidence(F: Field) -> Incidence:
 
 class LineTable:
     """The line facts of one point set, each built on first read and kept:
-    its intercept columns, its profiles, directions, the geometric modulus
-    s and maximality.  The functions of this module accept a table wherever
-    they accept a point set.
+    its profile keys, directions, the geometric modulus s and maximality.
+    The functions of this module accept a table wherever they accept a
+    point set.
 
-    A table built from the set alone reads the incidence row of each
-    point once; columns[y] is then the tuple of the points' intercepts on
-    the lines of direction y, and directions_of, line_profile and
-    is_maximal read them.  A caller that keeps profile keys up to date
-    point by point (an exhaustive sweep's walk) passes lines = (D, keys),
-    keys[y] the profile_key of direction y's profile: the table then
-    starts with D, reads each key off keys, and decodes a profile from its
-    key (profile_of_key) on first read.
+    keys[y] is the profile_key of direction y's profile, the set's only
+    line-count state; a table built from the set alone sums its points'
+    incidence rows into them, once.  A caller that keeps the keys up to
+    date point by point (an exhaustive sweep's walk) passes lines =
+    (D, keys) instead, and the table starts with both.  A profile is
+    decoded from its key (profile_of_key) on each read.
     """
 
     def __init__(self, U: AffinePointSet, lines=None):
         self.U = U
         self.field = U.field
-        self._profiles = {}
-        self._keys = None
         if lines is not None:
-            self.dirs, self._keys = lines
+            self.dirs, self.keys = lines
 
     @classmethod
     def of(cls, U):
@@ -334,33 +358,22 @@ class LineTable:
             return U
         return cls(U.U if isinstance(U, LineTable) else U)
 
-    def profile(self, y: int):
-        counts = self._profiles.get(y)
-        if counts is None:
-            keys = self._keys
-            counts = self._profiles[y] = (
-                line_profile(self, y) if keys is None
-                else profile_of_key(keys[y], self.field.q))
-        return counts
+    @kept
+    def keys(self) -> tuple:
+        """The q + 1 profile keys, the sums of the points' incidence rows."""
+        q = self.field.q
+        rows = incidence(self.field).rows
+        return (tuple(map(sum, zip(*map(rows.__getitem__,
+                                        [a * q + b for a, b in self.U.points]))))
+                or (0,) * (q + 1))
 
-    def key(self, y: int) -> int:
-        """profile_key of direction y's profile."""
-        keys = self._keys
-        return profile_key(self.profile(y)) if keys is None else keys[y]
+    def profile(self, y: int):
+        return profile_of_key(self.keys[y], self.field.q)
 
     def modulus(self, y: int) -> int:
         """s(y) = gcd(q, m_0, ..., m_(q-1)), the largest characteristic
         power dividing every count of direction y's profile."""
         return gcd(self.field.q, *self.profile(y))
-
-    @kept
-    def columns(self) -> tuple:
-        """The q + 1 intercept columns, zip(*rows) over the set's points."""
-        q = self.field.q
-        rows = incidence(self.field).rows
-        return (tuple(zip(*map(rows.__getitem__,
-                               [a * q + b for a, b in self.U.points])))
-                or ((),) * (q + 1))
 
     @kept
     def dirs(self) -> DirectionSet:
@@ -487,17 +500,20 @@ def apply_collineation(U: AffinePointSet, matrix, shift=(0, 0)):
 
 def _covered(lines: LineTable) -> int:
     """The codes of the points on the lines through U of its free
-    directions, as a q^2-bit int, from a kept incidence table's masks, n
-    per free direction.  Each such line holds one point of U, and the
-    union holds U whenever some direction is free."""
+    directions, as a q^2-bit int, from a kept incidence table's masks.
+    Every count of a free direction is 0 or 1, so each set bit w of its
+    key is one such line, holding one point of U; the union holds U
+    whenever some direction is free."""
     det = lines.dirs.determined
     masks = incidence(lines.field).masks
     covered = 0
-    for y, col in enumerate(lines.columns):
+    for y, key in enumerate(lines.keys):
         if y not in det:
             of_y = masks[y]
-            for i in col:
-                covered |= of_y[i]
+            while key:
+                w = key & -key
+                covered |= of_y[w]
+                key ^= w
     return covered
 
 

@@ -23,10 +23,12 @@ profile of slope y, m_c points lying on the line of intercept c, and
 likewise for the vertical direction q (lines X = c), so what a slope
 yields depends only on its profile (s(y) and the outcome of
 power-membership's checks at the slope included), and a sweep's tables
-share it through one slope memo keyed by the profile's integer key,
-which an exhaustive sweep's walk keeps up to date point by point.  The
-alarms that depend on the profile alone run once per memo entry, the
-ones that involve the set on every read (see SlopeTable).  Every
+share it through one slope memo keyed by the profile's integer key
+(geometry.profile_key), which every table holds: summed from its points'
+incidence rows, or kept up to date point by point by an exhaustive
+sweep's walk.  The alarms that depend on the profile alone run once per
+memo entry, the ones that involve the set on every read (see
+SlopeTable).  Every
 per-slope fact is read through SlopeTable (modulus, tail, power, kappa,
 membership), and the set-level s and t are its s and t, folded from one
 memo read per determined direction; the statements read the table
@@ -377,8 +379,9 @@ class SlopeTable(LineTable):
     geometric modulus s(y) is gcd(q, m_0, ..., m_(q-1)), the sharper
     quotient bound depends on |U| = m_0 + ... + m_(q-1), and the checks
     read only R(X,y), Q(X,y) and T(X,y).  They are kept in a slope memo
-    keyed by the profile's key, sum of m_c (q+1)^c (geometry.profile_key;
-    one integer per profile, as 0 <= m_c <= q).  An entry is made on the
+    keyed by the profile's key, the table's keys[y], sum of m_c 2^(kc)
+    with k = q.bit_length() (geometry.profile_key; one integer per
+    profile, as 0 <= m_c <= q < 2^k).  An entry is made on the
     first read of any of them and holds s(y) from then on; T(X,y), its
     TailData, kappa(y) and that outcome are filled on first read.  A
     table probes the memo once per direction, on its first read there,
@@ -437,7 +440,7 @@ class SlopeTable(LineTable):
         table probes the memo for it once and keeps it."""
         entry = self._entries.get(y)
         if entry is None:
-            key = self.key(y)
+            key = self.keys[y]
             entry = self._memo.get(key)
             if entry is None:
                 entry = _SlopeAlgebra(super().modulus(y))

@@ -31,18 +31,18 @@ to its shard's lists in stream order; the sweep sums the tallies and
 concatenates the lists in shard order, so reports are identical at
 every worker count.
 
-In exhaustive mode each table takes its directions and profile keys
-from a walk (_Walk): the key of each direction's profile
-(geometry.profile_key), which the worker updates point by point, from
-the last set it built to the next, keeping the prefix of codes the two
-share, and hands to the table as a tuple.  A table reads the
-slope memo by those keys and decodes a profile from its key only when
-one is read, so a profile the memo holds is never built as a tuple;
-each verdict carries its outcome, which the loop tallies as it is.
-Consecutive random sets share no prefix, so
-random streams build their tables from scratch, off the field's
-incidence rows (geometry.incidence), and so do sets of at most two
-points: the walk would move 2(q + 1) keys for what two rows give.
+Every table holds its set's line counts as q + 1 profile keys
+(geometry.profile_key), the sums of its points' incidence rows
+(geometry.incidence).  In exhaustive mode a table of three points or
+more takes them, and D, from a walk (_Walk), which the worker updates
+point by point, from the last set it built to the next, keeping the
+prefix of codes the two share, and hands to the table as a tuple.  A
+table reads the slope memo by those keys and decodes a profile from its
+key only when one is read, so a profile the memo holds is never built
+as a tuple; each verdict carries its outcome, which the loop tallies as
+it is.  Consecutive random sets share no prefix, so random streams sum
+each table's rows from scratch, and so do sets of at most two points:
+the walk would move 2(q + 1) keys for what two rows give.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .field import Field, make_field, prime_power_parts
-from .geometry import (AffinePointSet, DirectionSet, LineTable, _Filled,
-                       direction_of, extension_points, incidence, is_maximal)
+from .geometry import (AffinePointSet, LineTable, _Filled, direction_of,
+                       extension_points, incidence, is_maximal)
 from .redei import SlopeTable
 from .analysis import CONJECTURES, STATEMENTS, verify_statement
 
@@ -238,51 +238,37 @@ def _canonical_children(F: Field, parents, shards):
                 yield child
 
 
-class _Rows(_Filled):
-    """Point code c -> the key increments (q+1)^i of the q + 1 lines
-    through its point, i the line's intercept (geometry.Incidence.rows);
-    each computed on first use and kept for the walk."""
-
-    def __init__(self, F: Field):
-        base = F.q + 1
-        rows = incidence(F).rows
-        super().__init__(lambda c: tuple(base ** i for i in rows[c]))
-
-
 class _Walk:
     """The profile keys of the set last built, updated point by point.
 
-    keys[y] is the key of direction y's profile, the sum of m_i (q+1)^i
-    with m_i points on its line of intercept i (geometry.profile_key),
-    and multi[y] the number of those lines with two points or more, so y
-    is determined iff multi[y] > 0; rows[c] are the increments of the
-    point of code c (_Rows), and points[c] that point.  A new set keeps
-    the prefix of codes it shares with the last one; the rest of the last
-    set's points are taken out and the new set's added, at q + 1 keys
-    each: a point joining or leaving a line adds or takes off its
-    increment w, and that line's count is the digit keys[y] // w % (q+1).
-    The code-to-point list is allocated on the first set and each row on
-    its code's first use, so past that a walk costs O(q) per code it
-    touches and per point changed, and O(|U|) per set for its point set.
+    keys[y] is the key of direction y's profile (geometry.profile_key),
+    rows[c] the key units of the q + 1 lines through the point of code c
+    (geometry.Incidence.rows), kept for the walk since the incidence table
+    keeps nothing above KEEP_MAX_Q, and points[c] that point.  A new set
+    keeps the prefix of codes it shares with the last one; the rest of the
+    last set's points are taken out and the new set's added, a row each,
+    and D is read off the keys (geometry.Incidence.directions).  The
+    code-to-point list is allocated on the first set and each row on its
+    code's first use, so past that a walk costs O(q) per code it touches
+    and per point changed, and O(|U|) per set for its point set.
     """
 
     def __init__(self, F: Field):
+        table = incidence(F)
         self.field = F
-        self.rows = _Rows(F)
-        self.keys = [0] * (F.q + 1)
-        self.multi = [0] * (F.q + 1)
+        self.rows = _Filled(table.rows.__getitem__)
+        self.directions = table.directions
+        self.keys = (0,) * (F.q + 1)
         self.points = None
         self.codes = ()
 
     def lines(self, codes):
-        """(point set, D, keys) of the set with these sorted codes, keys
+        """(point set, (D, keys)) of the set with these sorted codes, keys
         the tuple of its q + 1 profile keys."""
         F = self.field
-        q = F.q
         if self.points is None:
-            self.points = list(itertools.product(range(q), repeat=2))
-        keys, multi, rows = self.keys, self.multi, self.rows
-        base = q + 1
+            self.points = list(itertools.product(range(F.q), repeat=2))
+        keys, rows = self.keys, self.rows
         old = self.codes
         k = 0
         for a, b in zip(old, codes):
@@ -290,19 +276,12 @@ class _Walk:
                 break
             k += 1
         for c in old[k:]:
-            for y, w in enumerate(rows[c]):
-                key = keys[y] = keys[y] - w
-                if key // w % base == 1:
-                    multi[y] -= 1
+            keys = tuple(map(operator.sub, keys, rows[c]))
         for c in codes[k:]:
-            for y, w in enumerate(rows[c]):
-                key = keys[y] = keys[y] + w
-                if key // w % base == 2:
-                    multi[y] += 1
-        self.codes = codes
+            keys = tuple(map(operator.add, keys, rows[c]))
+        self.codes, self.keys = codes, keys
         U = AffinePointSet(F, frozenset(map(self.points.__getitem__, codes)))
-        dirs = DirectionSet(F, frozenset(itertools.compress(range(q + 1), multi)))
-        return U, dirs, tuple(keys)
+        return U, (self.directions(keys), keys)
 
 
 # -- sweeping ------------------------------------------------------------------
@@ -393,8 +372,8 @@ def _sweep_shards(cfg: SearchConfig, shard_ids, collect_rows: bool):
         if not (cfg.statements or collect_rows):
             continue  # nothing would read the set's table
         if walk is not None and len(codes) >= 3:
-            U, dirs, keys = walk.lines(codes)
-            table = SlopeTable(U, memo, (dirs, keys))
+            U, lines = walk.lines(codes)
+            table = SlopeTable(U, memo, lines)
         else:
             # codes drawn from range(q^2) need no range check
             table = SlopeTable(AffinePointSet(

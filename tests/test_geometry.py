@@ -9,7 +9,8 @@ from dirsets.geometry import (AffinePointSet, LineTable, apply_collineation,
                               check_line_congruence, direction_modulus,
                               direction_of, directions_of, extension_points,
                               format_direction, geometric_invariants,
-                              incidence, is_maximal, line_profile)
+                              incidence, is_maximal, line_profile,
+                              profile_key)
 from conftest import random_point_set
 
 
@@ -271,6 +272,7 @@ def _assert_matches_oracles(U):
     assert [line_profile(U, y) for y in range(F.q + 1)] == profiles
     assert list(extension_points(U)) == ext, sorted(U.points)
     table = LineTable(U)
+    assert table.keys == tuple(map(profile_key, profiles))
     assert table.dirs.determined == det
     assert [table.profile(y) for y in range(F.q + 1)] == profiles
     assert list(extension_points(table)) == ext
@@ -316,8 +318,12 @@ def test_incidence_reads_match_oracles_on_q4_representatives(keeping, gf4):
         _assert_matches_oracles(pts(gf4, [divmod(c, 4) for c in codes]))
 
 
-@pytest.mark.parametrize("p,h", [(2, 2), (5, 1), (2, 3), (3, 2), (7, 1)])
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3),
+                                 (3, 2), (7, 1)])
 def test_incidence_reads_match_oracles_on_edge_sets(keeping, p, h):
+    # a count of q fills every bit of its key field at q = 3 and 7, and
+    # sets only the top bit at q = 2, 4 and 8; the whole plane has a
+    # count of q on every line
     F = make_field(p, h)
     q = F.q
     rng = random.Random(q)
@@ -327,7 +333,8 @@ def test_incidence_reads_match_oracles_on_edge_sets(keeping, p, h):
              [divmod(c, q) for c in rng.sample(range(q * q), q + 1)],
              [(0, b) for b in range(q)][: q // 2] + [(1, b) for b in range(q)][: q // 2],
              # a line less one point, which is its only extension point
-             [(x, F.add(F.mul(3 % q, x), 1)) for x in range(1, q)]]
+             [(x, F.add(F.mul(3 % q, x), 1)) for x in range(1, q)],
+             [divmod(c, q) for c in range(q * q)]]
     for pairs in cases:
         _assert_matches_oracles(pts(F, pairs))
     assert directions_of(pts(F, cases[5])).is_all
@@ -393,14 +400,35 @@ def test_field_set_up_builds_no_incidence_entry():
 def test_incidence_rows_and_masks(gf5):
     table = incidence(gf5)
     assert incidence(gf5) is table and table.kept
-    # the point (2, 3): intercepts 3 - 2y at y = 0..4, then a = 2
-    assert table.rows[2 * 5 + 3] == (3, 1, 4, 2, 0, 2)
+    # the point (2, 3): intercepts 3 - 2y at y = 0..4, then a = 2, each
+    # as the key unit of its line, 2^(3i) with k = 3 bits per count
+    assert table.rows[2 * 5 + 3] == tuple(1 << 3 * i for i in (3, 1, 4, 2, 0, 2))
+    # every row holds the table's own unit ints, not copies of them
+    assert all(w is table.units[(w.bit_length() - 1) // 3]
+               for c in range(25) for w in table.rows[c])
     # the line Y = 2X + 1 holds (a, 2a + 1); X = 4 holds (4, b)
-    assert table.masks[2][1] == sum(1 << (a * 5 + (2 * a + 1) % 5) for a in range(5))
-    assert table.masks[5][4] == sum(1 << (20 + b) for b in range(5))
+    assert table.masks[2][1 << 3] == sum(1 << (a * 5 + (2 * a + 1) % 5)
+                                         for a in range(5))
+    assert table.masks[5][1 << 12] == sum(1 << (20 + b) for b in range(5))
     for c in range(25):
-        for y, i in enumerate(table.rows[c]):
-            assert table.masks[y][i] >> c & 1
+        for y, w in enumerate(table.rows[c]):
+            assert table.masks[y][w] >> c & 1
+
+
+def test_line_tables_past_key_max_q_are_refused(monkeypatch):
+    # a table holds q + 1 keys of about kq bits, so past KEY_MAX_Q one set
+    # would outgrow memory: its field's incidence table is refused before
+    # any key unit is built, and a field at the bound is still served
+    from dirsets import geometry
+    monkeypatch.setattr(geometry, "KEY_MAX_Q", 8)
+    incidence.cache_clear()
+    try:
+        gf9, gf8 = make_field(3, 2), make_field(2, 3)
+        with pytest.raises(ValueError, match=r"AG\(2,9\) are refused above q = 8"):
+            directions_of(pts(gf9, [(0, 0), (1, 1)]))
+        assert directions_of(pts(gf8, [(0, 0), (1, 1)])).determined == {1}
+    finally:
+        incidence.cache_clear()
 
 
 def test_near_line_at_q256_is_fast_and_small():

@@ -395,6 +395,25 @@ def test_modulus_alarm_fires_on_every_read_of_a_shared_memo(unit_square,
     assert entry.modulus == 2 and entry.tail is not None and entry.power is None
 
 
+def test_aggregate_modulus_alarm_fires_on_a_memo_entry_below_s(unit_square):
+    # s <= t in aggregate is checked on every read of t, apart from the
+    # per-entry s(y) <= t(y): a shared memo whose slope-0 entry already
+    # holds t(0) = 1, filled without that check, must raise it
+    from dirsets import redei
+    from dirsets.field import SoundnessError
+
+    assert directions_of(unit_square).determined == {0, 1, 4}
+    entry = redei._SlopeAlgebra(2)
+    entry.tail = (0, 1)
+    entry.power = redei.TailData(1, (0, 1), 1)
+    memo = {profile_key(line_profile(unit_square, 0)): entry}
+    table = SlopeTable(unit_square, memo)
+    assert table.s == 2
+    with pytest.raises(SoundnessError,
+                       match="aggregate geometric modulus exceeds algebraic one"):
+        table.t
+
+
 @pytest.mark.parametrize("cap", ["shared", 0])
 @pytest.mark.parametrize("q,params", [(3, (3, 1)), (4, (2, 2)), (5, (5, 1)),
                                       (8, (2, 3)), (9, (3, 2))])
@@ -423,8 +442,8 @@ def test_s_and_t_fold_the_per_direction_moduli(q, params, cap, monkeypatch):
                 default=q)
         tables = [LineTable(U), SlopeTable(U), SlopeTable(U, shared)]
         if len(codes) >= 3:
-            W, dirs, keys = walk.lines(codes)
-            tables.append(SlopeTable(W, shared, (dirs, keys)))
+            W, lines = walk.lines(codes)
+            tables.append(SlopeTable(W, shared, lines))
         for table in tables:
             geo = geometric_invariants(table)
             assert table.s == geo.modulus == min(geo.per_direction.values()) == s
