@@ -48,7 +48,7 @@ from .field import (Field, SoundnessError, make_field, prime_power_parts,
                     subfield_orders, subfields)
 from .geometry import (AffinePointSet, LineTable, check_line_congruence,
                        direction_of, directions_of, format_direction,
-                       incidence, is_maximal)
+                       is_maximal)
 from .redei import SlopeTable
 # the tails reach this module through SlopeTable; the name stays bound here
 # because bench/spans.py wraps every module binding of a traced function
@@ -212,25 +212,24 @@ def _trichotomy_verdict(q: int, n: int, s: int, t: int, D: int, cross) -> Verdic
 def _counting_cross_check(table: SlopeTable, s: int) -> tuple:
     """Through any set point, each line with determined slope carries at
     least s set points, and those lines partition the rest of the set:
-    the sum over D of m_y(P) - 1, with m_y(P) read off the key of y at
-    the unit of P's line, is n - 1.  Returns (the first such sum that is
+    the sum over D of m_y(P) - 1, with m_y(P) read off the keys
+    (LineTable.through), is n - 1.  Returns (the first such sum that is
     not n - 1, else n - 1; whether every determined slope appears at
     every set point; the least count of set points on a line through a
-    set point)."""
+    set point).  Only the partition reads the keys; the slopes at each
+    point come from one division per pair of set points, a count apart
+    from the keys that the other two facts rest on."""
     F = table.field
     det = table.dirs.determined
     pts = sorted(table.U.points)
     n = len(pts)
-    lines = incidence(F)
-    rows, mask, keys = lines.rows, lines.count_mask, table.keys
     min_count = None
     partition = n - 1
     covers_all = True
     for P in pts:
-        row = rows[P[0] * F.q + P[1]]
-        through = sum((keys[y] // row[y] & mask) - 1 for y in det)
         if partition == n - 1:
-            partition = through
+            through = table.through(P)
+            partition = sum(through[y] - 1 for y in det)
         per_slope = {}
         for u in pts:
             if u != P:
@@ -345,21 +344,17 @@ def line_congruence_verdict(U) -> Verdict:
         return _inapplicable(stmt, why)
     m = rep.modulus
     return _congruence_verdict(len(rep.failures), len(table.U) % m,
-                               len(table.dirs) % m, bool(rep.size_congruent),
-                               bool(rep.directions_congruent), m)
+                               len(table.dirs) % m, m)
 
 
 @functools.cache
 def _congruence_verdict(failures: int, size_rest: int, dirs_rest: int,
-                        size_ok: bool, dirs_ok: bool, m: int) -> Verdict:
-    """line-congruence's verdict from the failure count, |U| and |D|
-    modulo m and the two congruence flags."""
-    checks = (
-        Check("lines meet in 0 or 1 mod m points", failures, "==", 0,
-              not failures),
-        Check("set size is 0 mod m", size_rest, "==", 0, size_ok),
-        Check("direction count is 1 mod m", dirs_rest, "==", 1, dirs_ok),
-    )
+                        m: int) -> Verdict:
+    """line-congruence's verdict from the failure count and |U| and |D|
+    modulo m."""
+    checks = (_cmp("lines meet in 0 or 1 mod m points", failures, "==", 0),
+              _cmp("set size is 0 mod m", size_rest, "==", 0),
+              _cmp("direction count is 1 mod m", dirs_rest, "==", 1))
     return Verdict("line-congruence", True, None, checks, (f"modulus {m}",))
 
 

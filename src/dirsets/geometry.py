@@ -18,21 +18,25 @@ q + 1 keys are its whole line-count state.  One incidence table per
 field (incidence) holds, each entry built on its read and kept up to
 q = KEEP_MAX_Q, the key units 2^(kc) of the q + 1 lines through a point
 and the points on a line as a q^2-bit mask.  A table built from a point
-set sums its points' rows into its keys, and an exhaustive sweep's walk
-adds and takes off rows as points come and go; D, every profile (shifts
-and masks of a key) and maximality are read off the keys: up to
-KEEP_MAX_Q from the masks of the lines that the set bits of a free
-direction's key name, with no division, above it by a scan of the
-plane's columns that leaves each once no point of it is left whose
-slopes to the set are all determined.
+set sums its points' rows into its keys, and a walk (Walk), which takes
+every set of an exhaustive sweep, adds and takes off rows as points come
+and go from one set to the next.  D, every profile (shifts and masks of
+a key), the counts of the lines through a point (LineTable.through) and
+maximality are read off the keys: maximality up to KEEP_MAX_Q from the
+masks of the lines that the set bits of a free direction's key name,
+with no division, above it by a scan of the plane's columns that leaves
+each once no point of it is left whose slopes to the set are all
+determined.  No other module names the incidence table or the key's
+count fields.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, product
 from math import gcd
+from operator import add, sub
 
 from .field import Field, make_field
 
@@ -42,7 +46,7 @@ __all__ = [
     "profile_of_key", "direction_modulus",
     "geometric_invariants", "check_line_congruence", "apply_collineation",
     "extension_points", "is_maximal", "format_direction", "Incidence",
-    "incidence",
+    "incidence", "Walk",
 ]
 
 
@@ -330,6 +334,54 @@ def incidence(F: Field) -> Incidence:
     return Incidence(F)
 
 
+class Walk:
+    """The profile keys of the set last built, updated point by point:
+    every set of an exhaustive sweep, at any size, takes its keys and D
+    from one, since sets in stream order share most of their points.
+
+    keys[y] is the key of direction y's profile (profile_key), rows[c] the
+    key units of the q + 1 lines through the point of code c
+    (Incidence.rows), kept for the walk since the incidence table keeps
+    nothing above KEEP_MAX_Q, and points[c] that point.  A new set keeps
+    the prefix of codes it shares with the last one; the rest of the last
+    set's points are taken out and the new set's added, a row each, and D
+    is read off the keys (Incidence.directions).  The code-to-point list
+    is allocated on the first set and each row on its code's first use,
+    so past that a walk costs O(q) per code it touches and per point
+    changed, and O(|U|) per set for its point set.
+    """
+
+    def __init__(self, F: Field):
+        table = incidence(F)
+        self.field = F
+        self.rows = _Filled(table.rows.__getitem__)
+        self.directions = table.directions
+        self.keys = (0,) * (F.q + 1)
+        self.points = None
+        self.codes = ()
+
+    def lines(self, codes):
+        """(point set, (D, keys)) of the set with these sorted codes, keys
+        the tuple of its q + 1 profile keys."""
+        F = self.field
+        if self.points is None:
+            self.points = list(product(range(F.q), repeat=2))
+        keys, rows = self.keys, self.rows
+        old = self.codes
+        k = 0
+        for a, b in zip(old, codes):
+            if a != b:
+                break
+            k += 1
+        for c in old[k:]:
+            keys = tuple(map(sub, keys, rows[c]))
+        for c in codes[k:]:
+            keys = tuple(map(add, keys, rows[c]))
+        self.codes, self.keys = codes, keys
+        U = AffinePointSet(F, frozenset(map(self.points.__getitem__, codes)))
+        return U, (self.directions(keys), keys)
+
+
 class LineTable:
     """The line facts of one point set, each built on first read and kept:
     its profile keys, directions, the geometric modulus s and maximality.
@@ -339,9 +391,9 @@ class LineTable:
     keys[y] is the profile_key of direction y's profile, the set's only
     line-count state; a table built from the set alone sums its points'
     incidence rows into them, once.  A caller that keeps the keys up to
-    date point by point (an exhaustive sweep's walk) passes lines =
-    (D, keys) instead, and the table starts with both.  A profile is
-    decoded from its key (profile_of_key) on each read.
+    date point by point (Walk) passes lines = (D, keys) instead, and the
+    table starts with both.  A profile is decoded from its key
+    (profile_of_key) on each read.
     """
 
     def __init__(self, U: AffinePointSet, lines=None):
@@ -369,6 +421,15 @@ class LineTable:
 
     def profile(self, y: int):
         return profile_of_key(self.keys[y], self.field.q)
+
+    def through(self, P) -> list:
+        """m_y(P) for y = 0, ..., q: the count of set points on the line of
+        direction y through the point P, read off each key at the unit of
+        P's line (Incidence.rows)."""
+        lines = incidence(self.field)
+        row = lines.rows[P[0] * self.field.q + P[1]]
+        mask = lines.count_mask
+        return [key // unit & mask for key, unit in zip(self.keys, row)]
 
     def modulus(self, y: int) -> int:
         """s(y) = gcd(q, m_0, ..., m_(q-1)), the largest characteristic
@@ -456,21 +517,18 @@ def check_line_congruence(U, modulus: int | None = None) -> LineCongruence:
         if m <= 1:
             raise ValueError("explicit modulus must exceed 1")
     failures = []
-    checked = 0
     for slope in range(F.q + 1):
         profile = lines.profile(slope)
         ideal_pt = 1 if slope in dirs.determined else 0
         for intercept in range(F.q):
             total = profile[intercept] + ideal_pt
-            checked += 1
             if total % m not in (0, 1):
                 failures.append((slope, intercept, total))
     ideal_total = len(dirs.determined)
-    checked += 1
     if ideal_total % m not in (0, 1):
         failures.append((F.q + 1, None, ideal_total))
     return LineCongruence(
-        True, m, checked, tuple(failures),
+        True, m, F.q * (F.q + 1) + 1, tuple(failures),
         len(lines.U) % m == 0, len(dirs.determined) % m == 1)
 
 

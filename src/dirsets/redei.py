@@ -26,15 +26,14 @@ power-membership's checks at the slope included), and a sweep's tables
 share it through one slope memo keyed by the profile's integer key
 (geometry.profile_key), which every table holds: summed from its points'
 incidence rows, or kept up to date point by point by an exhaustive
-sweep's walk.  The alarms that depend on the profile alone run once per
-memo entry, the ones that involve the set on every read (see
-SlopeTable).  Every
-per-slope fact is read through SlopeTable (modulus, tail, power, kappa,
-membership), and the set-level s and t are its s and t, folded from one
-memo read per determined direction; the statements read the table
-itself, with no wrapper between.  t and deg_X T are affine
-invariants (see SlopeTable), so no direction is moved to the vertical
-one first.
+sweep's walk (geometry.Walk).  The alarms that depend on the profile
+alone run once per memo entry, the ones that involve the set on every
+read (see SlopeTable).  Every per-slope fact is read through SlopeTable
+(modulus, tail, power, kappa, membership), and the set-level s and t are
+its s and t, folded from one memo read per determined direction; the
+statements read the table itself, with no wrapper between.  t and deg_X
+T are affine invariants (see SlopeTable), so no direction is moved to
+the vertical one first.
 RedeiSystem serves the `redei` verb and is the reference the tests
 compare the table against.
 """

@@ -32,17 +32,15 @@ concatenates the lists in shard order, so reports are identical at
 every worker count.
 
 Every table holds its set's line counts as q + 1 profile keys
-(geometry.profile_key), the sums of its points' incidence rows
-(geometry.incidence).  In exhaustive mode a table of three points or
-more takes them, and D, from a walk (_Walk), which the worker updates
-point by point, from the last set it built to the next, keeping the
-prefix of codes the two share, and hands to the table as a tuple.  A
-table reads the slope memo by those keys and decodes a profile from its
-key only when one is read, so a profile the memo holds is never built
-as a tuple; each verdict carries its outcome, which the loop tallies as
-it is.  Consecutive random sets share no prefix, so random streams sum
-each table's rows from scratch, and so do sets of at most two points:
-the walk would move 2(q + 1) keys for what two rows give.
+(geometry.profile_key).  In exhaustive mode every table, at any size and
+with symmetry on or off, takes them, and D, from a walk (geometry.Walk),
+which the worker updates point by point, from the last set it built to
+the next, keeping the prefix of codes the two share, and hands to the
+table as a tuple.  A table reads the slope memo by those keys and
+decodes a profile from its key only when one is read, so a profile the
+memo holds is never built as a tuple; each verdict carries its outcome,
+which the loop tallies as it is.  Consecutive random sets share no
+prefix, so random streams build each table's keys from scratch.
 """
 
 from __future__ import annotations
@@ -56,8 +54,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .field import Field, make_field, prime_power_parts
-from .geometry import (AffinePointSet, LineTable, _Filled, direction_of,
-                       extension_points, incidence, is_maximal)
+from .geometry import (AffinePointSet, LineTable, Walk, direction_of,
+                       extension_points, is_maximal)
 from .redei import SlopeTable
 from .analysis import CONJECTURES, STATEMENTS, verify_statement
 
@@ -238,52 +236,6 @@ def _canonical_children(F: Field, parents, shards):
                 yield child
 
 
-class _Walk:
-    """The profile keys of the set last built, updated point by point.
-
-    keys[y] is the key of direction y's profile (geometry.profile_key),
-    rows[c] the key units of the q + 1 lines through the point of code c
-    (geometry.Incidence.rows), kept for the walk since the incidence table
-    keeps nothing above KEEP_MAX_Q, and points[c] that point.  A new set
-    keeps the prefix of codes it shares with the last one; the rest of the
-    last set's points are taken out and the new set's added, a row each,
-    and D is read off the keys (geometry.Incidence.directions).  The
-    code-to-point list is allocated on the first set and each row on its
-    code's first use, so past that a walk costs O(q) per code it touches
-    and per point changed, and O(|U|) per set for its point set.
-    """
-
-    def __init__(self, F: Field):
-        table = incidence(F)
-        self.field = F
-        self.rows = _Filled(table.rows.__getitem__)
-        self.directions = table.directions
-        self.keys = (0,) * (F.q + 1)
-        self.points = None
-        self.codes = ()
-
-    def lines(self, codes):
-        """(point set, (D, keys)) of the set with these sorted codes, keys
-        the tuple of its q + 1 profile keys."""
-        F = self.field
-        if self.points is None:
-            self.points = list(itertools.product(range(F.q), repeat=2))
-        keys, rows = self.keys, self.rows
-        old = self.codes
-        k = 0
-        for a, b in zip(old, codes):
-            if a != b:
-                break
-            k += 1
-        for c in old[k:]:
-            keys = tuple(map(operator.sub, keys, rows[c]))
-        for c in codes[k:]:
-            keys = tuple(map(operator.add, keys, rows[c]))
-        self.codes, self.keys = codes, keys
-        U = AffinePointSet(F, frozenset(map(self.points.__getitem__, codes)))
-        return U, (self.directions(keys), keys)
-
-
 # -- sweeping ------------------------------------------------------------------
 
 @dataclass
@@ -352,8 +304,8 @@ def _sweep_shards(cfg: SearchConfig, shard_ids, collect_rows: bool):
     order gives the same report however the shards are split.  Every
     set's table reads one slope memo, which lives as long as this call:
     each worker keeps its own, and its values depend only on their keys.
-    An exhaustive stream reads the tables of three points or more off one
-    walk, which goes from set to set of this call only.
+    An exhaustive stream reads every table off one walk, which goes from
+    set to set of this call only.
     """
     memo = {}
     tallies = {s: {"pass": 0, "fail": 0, "inapplicable": 0} for s in cfg.statements}
@@ -361,7 +313,7 @@ def _sweep_shards(cfg: SearchConfig, shard_ids, collect_rows: bool):
     count = 0
     q = cfg.q
     F = cfg.field()
-    walk = _Walk(F) if cfg.mode == "exhaustive" else None
+    walk = Walk(F) if cfg.mode == "exhaustive" else None
     for codes in enumerate_sets(cfg, shard_ids):
         set_hash = _set_hash(q, codes)
         bucket = buckets.get(set_hash % N_SHARDS)
@@ -371,7 +323,7 @@ def _sweep_shards(cfg: SearchConfig, shard_ids, collect_rows: bool):
         count += 1
         if not (cfg.statements or collect_rows):
             continue  # nothing would read the set's table
-        if walk is not None and len(codes) >= 3:
+        if walk is not None:
             U, lines = walk.lines(codes)
             table = SlopeTable(U, memo, lines)
         else:

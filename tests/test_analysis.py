@@ -73,6 +73,51 @@ def test_trichotomy_partition_check_reads_the_profiles(unit_square):
     assert (failed[0].lhs, failed[0].rhs) == (1, 3)
 
 
+def test_trichotomy_alarms_on_a_slope_missing_from_d(unit_square, gf4):
+    # handed D = {0, inf} with the square's true keys, the partition sum
+    # falls short and then slope 1, through (0, 0) and (1, 1), is found
+    # at a set point but not in D
+    from dirsets.field import SoundnessError
+    from dirsets.geometry import DirectionSet, LineTable
+    table = SlopeTable(unit_square, lines=(DirectionSet(gf4, frozenset({0, 4})),
+                                           LineTable(unit_square).keys))
+    with pytest.raises(SoundnessError,
+                       match="slope through two set points not determined"):
+        classify_direction_trichotomy(table)
+
+
+def test_trichotomy_alarms_on_more_than_q_points_missing_a_direction(
+        unit_square, gf4):
+    # the square plus (2, 3) determines all five directions; handed the
+    # square's D = {0, 1, inf}, a set of q + 1 points would miss one
+    from dirsets.field import SoundnessError
+    from dirsets.geometry import DirectionSet, LineTable, directions_of
+    U = pts(gf4, sorted(unit_square.points) + [(2, 3)])
+    assert directions_of(U).is_all
+    table = SlopeTable(U, lines=(DirectionSet(gf4, frozenset({0, 1, 4})),
+                                 LineTable(U).keys))
+    with pytest.raises(SoundnessError,
+                       match="more than q points but not all directions"):
+        classify_direction_trichotomy(table)
+
+
+def test_root_power_bound_alarms_on_a_constant_tail_root(unit_square):
+    # a shared memo entry for slope 0 whose power root is None (a constant
+    # tail) on a set of three determined directions
+    from dirsets import redei
+    from dirsets.field import SoundnessError
+    from dirsets.geometry import line_profile, profile_key
+    memo = {}
+    SlopeTable(unit_square, memo).power(0)
+    entry = memo[profile_key(line_profile(unit_square, 0))]
+    entry.power = redei.TailData(4, None, 0)
+    table = SlopeTable(unit_square, memo)
+    assert sorted(table.dirs.determined) == [0, 1, 4]
+    with pytest.raises(SoundnessError,
+                       match="constant tail on a slope of a multi-direction set"):
+        root_power_bound(table)
+
+
 def test_trichotomy_inapplicable(gf2, gf5):
     full = pts(gf2, [(0, 0), (1, 0), (0, 1), (1, 1)])
     assert not classify_direction_trichotomy(full).applicable

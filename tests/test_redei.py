@@ -424,12 +424,13 @@ def test_s_and_t_fold_the_per_direction_moduli(q, params, cap, monkeypatch):
     # on tables built from scratch, through a memo shared by the family and
     # with no entry stored at all
     from math import gcd
-    from dirsets import redei, search
+    from dirsets import redei
+    from dirsets.geometry import Walk
     if cap == 0:
         monkeypatch.setattr(redei, "SLOPE_MEMO_CAP", 0)
     F = make_field(*params)
     rng = random.Random(f"fold:{q}")
-    walk = search._Walk(F)
+    walk = Walk(F)
     shared = {}
     checked = 0
     for _ in range(60):
@@ -440,10 +441,9 @@ def test_s_and_t_fold_the_per_direction_moduli(q, params, cap, monkeypatch):
         tail = redei_system(U, verify=True).tail
         t = min((tail_power(tail.specialize(y), F)[0] for y in det if y < q),
                 default=q)
-        tables = [LineTable(U), SlopeTable(U), SlopeTable(U, shared)]
-        if len(codes) >= 3:
-            W, lines = walk.lines(codes)
-            tables.append(SlopeTable(W, shared, lines))
+        W, lines = walk.lines(codes)
+        tables = [LineTable(U), SlopeTable(U), SlopeTable(U, shared),
+                  SlopeTable(W, shared, lines)]
         for table in tables:
             geo = geometric_invariants(table)
             assert table.s == geo.modulus == min(geo.per_direction.values()) == s
@@ -453,7 +453,7 @@ def test_s_and_t_fold_the_per_direction_moduli(q, params, cap, monkeypatch):
                 assert t == min((d.modulus for d in alg.per_direction.values()),
                                 default=q)
         checked += len(tables)
-    assert checked >= 60 * 3
+    assert checked == 60 * 4
     assert (not shared) == (cap == 0)
     # s needs a determined direction, t also 1 <= |U| <= q
     for pairs in ([], [(1, 2)]):

@@ -479,10 +479,10 @@ def test_successive_sweeps_do_not_share_the_slope_memo(monkeypatch):
     (16, 4, True, 1), (27, 3, True, 1)])
 def test_walk_tables_match_profiles_from_scratch(monkeypatch, q, n_max,
                                                  symmetry, step):
-    # the exhaustive sweep reads each table of three points or more off
-    # line counts it updates point by point; as each is built, every
-    # profile and D must equal what the set's own points give.  step 2
-    # runs the first of two workers, whose walk skips the other's sets
+    # the exhaustive sweep reads every table, of any size, off line counts
+    # it updates point by point; as each is built, every profile and D
+    # must equal what the set's own points give.  step 2 runs the first
+    # of two workers, whose walk skips the other's sets
     from dirsets import search
 
     built, walked = Counter(), Counter()
@@ -504,7 +504,7 @@ def test_walk_tables_match_profiles_from_scratch(monkeypatch, q, n_max,
                        statements=("size-q-trichotomy",))
     _, count, _ = search._sweep_shards(cfg, range(0, N_SHARDS, step), False)
     assert sum(built.values()) == count
-    assert built - walked == Counter({n: built[n] for n in (0, 1, 2) if built[n]})
+    assert built == walked
     if step == 1:
         streamed = Counter(len(codes) for codes in enumerate_sets(cfg))
         assert built == streamed
@@ -541,7 +541,7 @@ def test_walk_keys_match_profile_keys_from_scratch(monkeypatch, q, n_max,
     cfg = SearchConfig(q=q, n_max=n_max, symmetry=symmetry,
                        statements=("size-q-trichotomy",))
     search._sweep_shards(cfg, range(0, N_SHARDS, step), False)
-    assert walked and min(walked) == 3
+    assert walked and min(walked) == 0
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -567,8 +567,8 @@ def test_profile_of_key_inverts_large_keys(q):
 
 
 def test_exhaustive_sweep_counts_no_profile_from_scratch(monkeypatch):
-    # past two points, every statement and every CSV row of an exhaustive
-    # sweep reads D and the profiles off the walk; a table passes itself
+    # every statement and every CSV row of an exhaustive sweep reads D and
+    # the profiles off the walk, at every set size; a table passes itself
     from dirsets import geometry
 
     sizes = []
@@ -583,20 +583,14 @@ def test_exhaustive_sweep_counts_no_profile_from_scratch(monkeypatch):
     report = sweep(SearchConfig(q=4, n_max=6, statements=theorems),
                    collect_rows=True)
     assert report.sets_examined == 14893 and not report.failed
-    assert sizes and max(sizes) <= 2
+    assert not sizes
 
 
-def test_one_point_stream_takes_no_walk(monkeypatch):
-    # sets of at most two points take the from-scratch path, so a stream
-    # that stops at n = 1 never starts the walk; its
-    # tallies are those of tables built from scratch.  power-membership,
-    # which divides 64 slopes per set here, is left out for time
-    from dirsets import search
-
-    def refuse(self, codes):
-        raise AssertionError(f"walk started on {codes}")
-
-    monkeypatch.setattr(search._Walk, "lines", refuse)
+def test_one_point_stream_tallies_match_tables_from_scratch():
+    # the walk takes the empty set and every one-point set of a q = 64
+    # stream; its tallies are those of tables built from scratch.
+    # power-membership, which divides 64 slopes per set here, is left out
+    # for time
     statements = tuple(s for s in STATEMENTS if s != "power-membership")
     cfg = SearchConfig(q=64, n_max=1, statements=statements)
     report = sweep(cfg)
@@ -618,23 +612,27 @@ def test_symmetry_walk_counts_only_the_codes_it_visits(monkeypatch, q, n_max,
                                                        sets):
     # a symmetry stream at large q holds a handful of representatives;
     # the walk builds the rows of their points once each, never of all
-    # q^2 points
-    from dirsets import search
+    # q^2 points: at q = 256 the incidence table keeps no row, so only the
+    # walk's own cache stops a second build
+    from dirsets import geometry
 
     computed = []
+    real = geometry.Incidence._row
 
-    class Counted(search._Filled):
-        def __missing__(self, c):
-            computed.append(c)
-            return super().__missing__(c)
+    def counted(self, c):
+        computed.append(c)
+        return real(self, c)
 
-    monkeypatch.setattr(search, "_Filled", Counted)
-    cfg = SearchConfig(q=q, n_max=n_max, symmetry=True,
-                       statements=("thm-m", "moduli-order", "line-congruence"))
-    report = sweep(cfg)
+    monkeypatch.setattr(geometry.Incidence, "_row", counted)
+    geometry.incidence.cache_clear()
+    try:
+        cfg = SearchConfig(q=q, n_max=n_max, symmetry=True,
+                           statements=("thm-m", "moduli-order", "line-congruence"))
+        report = sweep(cfg)
+    finally:
+        geometry.incidence.cache_clear()
     assert report.sets_examined == sets and not report.failed
-    visited = {c for codes in enumerate_sets(cfg) if len(codes) >= 3
-               for c in codes}
+    visited = {c for codes in enumerate_sets(cfg) for c in codes}
     assert sorted(computed) == sorted(visited)
 
 
@@ -653,10 +651,10 @@ def test_statement_free_sweep_builds_no_table(monkeypatch):
 def test_walk_table_keeps_its_set_after_the_walk_moves():
     # a walk table holds a snapshot of its set's keys, so it reads the
     # same profiles, keys and D however far the walk has moved on
-    from dirsets import search
+    from dirsets.geometry import Walk
 
     F = make_field(5, 1)
-    walk = search._Walk(F)
+    walk = Walk(F)
     U, (dirs, keys) = walk.lines((0, 1, 7))
     table = SlopeTable(U, None, (dirs, keys))
     walk.lines((0, 1, 8))

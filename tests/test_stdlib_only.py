@@ -46,3 +46,28 @@ def test_every_module_parses_as_python_3_10():
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), str(path),
                   feature_version=(3, 10))
+
+
+def _names(path):
+    """Every identifier a module binds, reads or imports."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+            yield node.asname
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def test_only_geometry_names_the_line_count_format():
+    # the incidence table and the key's count fields belong to geometry:
+    # every other module reads line counts through a LineTable
+    owned = {"incidence", "Incidence", "_Filled", "count_mask"}
+    sources = [path for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "geometry.py"]
+    assert len(sources) > 5
+    assert not {(path.name, name) for path in sources
+                for name in _names(path) if name in owned}
